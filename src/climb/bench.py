@@ -119,6 +119,7 @@ def aggregate_rows(rows: Sequence[Mapping], group_keys: Sequence[str]) -> list[d
 
 
 def _truth_roles(dag: PDag, v: str) -> dict[str, set[str]]:
+    """Parents, children and spouses of ``v`` along the directed edges of ``dag``."""
     pa = dag.parents(v)
     ch = dag.children(v)
     sp: set[str] = set()
@@ -319,14 +320,9 @@ def run_partition_benchmark(
 
 def _extract_pc_roles(cpdag: PDag, v: str) -> dict[str, set[str]]:
     """Role readout from a partial DAG; undirected neighbours stay undecided."""
-    pa = cpdag.parents(v)
-    ch = cpdag.children(v)
-    sp: set[str] = set()
-    for c in ch:
-        sp |= cpdag.parents(c)
-    sp -= {v} | pa | ch
-    und = cpdag.undirected_neighbors(v) - pa - ch - sp
-    return {"parents": pa, "children": ch, "spouses": sp, "undecided": und}
+    roles = _truth_roles(cpdag, v)
+    roles["undecided"] = cpdag.undirected_neighbors(v) - set().union(*roles.values())
+    return roles
 
 
 def run_cmb_benchmark(

@@ -98,6 +98,7 @@ def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
             "children": sorted(table.names[i] for i in res.children),
             "spouses": sorted(table.names[i] for i in res.spouses),
             "tests_performed": res.tests_performed,
+            "tests_evaluated": tester.evaluated,
         }
     )
 
@@ -117,7 +118,8 @@ def pc(data_path, kind, alpha, max_cond, out_path) -> None:
     Path(out_path).write_text(json.dumps(cpdag.to_json_obj(), indent=2, sort_keys=True) + "\n")
     click.echo(
         f"wrote {out_path}: {len(cpdag.directed_edges())} directed, "
-        f"{len(cpdag.undirected_edges())} undirected edges ({tester.count} tests)"
+        f"{len(cpdag.undirected_edges())} undirected edges "
+        f"({tester.count} tests, {tester.evaluated} evaluated)"
     )
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "log_regret",
     "log_regret_many",
     "plugin_entropy",
+    "count_bits",
+    "regret_sum",
     "stochastic_complexity",
     "conditional_sc",
     "delta",
@@ -164,12 +166,15 @@ def _cells(x: np.ndarray, card: int, labels: np.ndarray, groups: int) -> np.ndar
     return np.bincount(joint, minlength=groups * card).reshape(groups, card)
 
 
-def _data_bits(cells: np.ndarray) -> float:
-    """Sum over groups of h_v * H(x | group v), in bits."""
-    sizes = cells.sum(axis=1)
-    pos_sizes = sizes[sizes > 0].astype(np.float64)
-    pos_cells = cells[cells > 0].astype(np.float64)
-    return float((pos_sizes * np.log2(pos_sizes)).sum() - (pos_cells * np.log2(pos_cells)).sum())
+def count_bits(counts: np.ndarray) -> float:
+    """Sum of c * log2(c) in bits over ``counts``, which must all be positive."""
+    c = counts.astype(np.float64)
+    return float((c * np.log2(c)).sum())
+
+
+def regret_sum(card: int, sizes: np.ndarray, regrets: RegretTable | None = None) -> float:
+    """Sum of the log2-regrets of ``card`` values over groups of the given sizes."""
+    return float((regrets or _SHARED).log_regret_many(card, sizes).sum())
 
 
 def stochastic_complexity(x: np.ndarray, card: int, regrets: RegretTable | None = None) -> float:
@@ -203,8 +208,8 @@ def conditional_sc(
     groups = int(labels.max()) + 1 if labels.size else 0
     cells = _cells(x, card, labels, groups)
     sizes = cells.sum(axis=1)
-    table = regrets or _SHARED
-    return _data_bits(cells) + float(table.log_regret_many(card, sizes).sum())
+    # data bits, the sum over groups of h_v * H(x | group v), then the regrets
+    return count_bits(sizes[sizes > 0]) - count_bits(cells[cells > 0]) + regret_sum(card, sizes, regrets)
 
 
 def delta(card: int, labels: np.ndarray, regrets: RegretTable | None = None) -> float:
@@ -212,6 +217,4 @@ def delta(card: int, labels: np.ndarray, regrets: RegretTable | None = None) -> 
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0 or card == 1:
         return 0.0
-    sizes = np.bincount(labels)
-    table = regrets or _SHARED
-    return float(table.log_regret_many(card, sizes).sum())
+    return regret_sum(card, np.bincount(labels), regrets)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["CategoricalTable", "group_labels", "group_sizes"]
+__all__ = ["CategoricalTable", "group_labels"]
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,3 @@ def group_labels(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarr
     stacked = np.stack([table.columns[c] for c in cols])
     _, labels, sizes = np.unique(stacked, axis=1, return_inverse=True, return_counts=True)
     return labels.astype(np.int64).ravel(), sizes.astype(np.int64)
-
-
-def group_sizes(labels: np.ndarray) -> np.ndarray:
-    """Sizes of the dense groups produced by :func:`group_labels`."""
-    if labels.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.bincount(labels)

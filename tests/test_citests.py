@@ -220,6 +220,48 @@ class TestMakeTest:
         tester(0, 1, ())
         assert tester.count == 2
 
+    def test_memo_counts_logical_and_evaluated_calls(self):
+        t = balanced_pair(16)
+        tester = make_test(t, "sci")
+        first = tester(0, 1, ())
+        assert tester(0, 1, ()) is first
+        assert (tester.count, tester.evaluated) == (2, 1)
+
+    def test_swapped_pair_hits_the_memo_for_sci_only(self):
+        x = np.array([0, 1, 1, 0] * 25)
+        t = table_from([("x", x, 2), ("y", x[::-1], 2), ("z", np.arange(100) % 3, 3)])
+        sci_test = make_test(t, "sci")
+        sci_test(0, 1, (2,))
+        sci_test(1, 0, (2,))
+        assert (sci_test.count, sci_test.evaluated) == (2, 1)
+        for kind in ("g2", "cmi"):
+            tester = make_test(t, kind, min_samples_per_dof=0.0)
+            tester(0, 1, (2,))
+            tester(1, 0, (2,))
+            assert (tester.count, tester.evaluated) == (2, 2)
+
+    def test_reordered_conditioning_set_is_a_new_query(self):
+        rng = np.random.default_rng(4)
+        t = table_from([(c, rng.integers(0, 2, 60), 2) for c in "abcd"])
+        tester = make_test(t, "sci")
+        tester(0, 1, (2, 3))
+        tester(0, 1, (3, 2))
+        assert tester.evaluated == 2
+
+    def test_invalid_query_is_counted_but_not_evaluated(self):
+        tester = make_test(balanced_pair(8), "sci")
+        with pytest.raises(ValueError):
+            tester(0, 0, ())
+        assert (tester.count, tester.evaluated) == (1, 0)
+
+    def test_configuration_is_read_only(self):
+        tester = make_test(balanced_pair(8), "g2", alpha=0.05)
+        for name, value in (("alpha", 0.5), ("kind", "sci"), ("table", None), ("cutoff", 1.0),
+                            ("min_samples_per_dof", 0.0), ("regrets", None)):
+            with pytest.raises(AttributeError):
+                setattr(tester, name, value)
+        assert tester.alpha == 0.05 and tester.kind == "g2"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_test(balanced_pair(8), "fisher")

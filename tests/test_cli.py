@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +52,7 @@ class TestMb:
         assert obj["children"] == ["C1", "C2"]
         assert obj["spouses"] == ["S"]
         assert obj["tests_performed"] > 0
+        assert 0 < obj["tests_evaluated"] < obj["tests_performed"]
 
 
 class TestPcAndOrient:
@@ -58,6 +60,7 @@ class TestPcAndOrient:
         pdag_path = tmp_path / "pdag.json"
         res = run_cli("pc", "--data", workdir / "demo.csv", "--test", "sci", "--out", pdag_path)
         assert res.exit_code == 0
+        assert re.search(r"\((\d+) tests, \1 evaluated\)", res.output)  # stable PC never repeats a query
         obj = json.loads(pdag_path.read_text())
         assert set(obj) == {"nodes", "edges"}
         dag_path = tmp_path / "dag.json"
