@@ -1,10 +1,11 @@
 """Benchmark harness: seeded experiments with reproducible result files.
 
 Every experiment is a pure function of its configuration and base seed.
-Replicate streams derive as base XOR a running counter (cell-major), so
-reruns are byte-identical and cells never share a stream. Results carry the
-full per-replicate rows plus mean and standard deviation aggregates that are
-recomputable from the rows.
+Replicate streams derive as base XOR a running counter over the cells and
+replicates (cell-major, see :func:`_streams`), so reruns are byte-identical
+and cells never share a stream. Results carry the full per-replicate rows
+plus mean and standard deviation aggregates that are recomputable from the
+rows.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +120,16 @@ def aggregate_rows(rows: Sequence[Mapping], group_keys: Sequence[str]) -> list[d
     return out
 
 
+def _streams(seed: int, replicates: int, *axes: Iterable) -> Iterator[tuple]:
+    """Yield ``(*cell, replicate, stream_seed)`` over the grid of ``axes``.
+
+    Cells run in ``itertools.product`` order and every cell's replicates run
+    before the next cell's; the i-th pair gets ``derive_seed(seed, i)``.
+    """
+    for i, (*cell, rep) in enumerate(product(*axes, range(replicates))):
+        yield (*cell, rep, derive_seed(seed, i))
+
+
 def _truth_roles(dag: PDag, v: str) -> dict[str, set[str]]:
     """Parents, children and spouses of ``v`` along the directed edges of ``dag``."""
     pa = dag.parents(v)
@@ -127,11 +139,6 @@ def _truth_roles(dag: PDag, v: str) -> dict[str, set[str]]:
         sp |= dag.parents(c)
     sp -= {v} | pa | ch
     return {"parents": pa, "children": ch, "spouses": sp}
-
-
-def _truth_mb(dag: PDag, v: str) -> set[str]:
-    roles = _truth_roles(dag, v)
-    return roles["parents"] | roles["children"] | roles["spouses"]
 
 
 # -- independence-test benchmark on the diamond fixture ----------------------
@@ -155,32 +162,27 @@ def run_dsep_benchmark(
     aggregation convention can be read off.
     """
     rows = []
-    counter = 0
-    for n in ns:
-        for noise in noises:
-            for rep in range(replicates):
-                rep_seed = derive_seed(seed, counter)
-                counter += 1
-                table, _ = dsep_fixture(SampleSpec(n, noise, rep_seed))
-                iF, iD, iE, iT = (table.index_of(v) for v in ("F", "D", "E", "T"))
-                for kind in tests:
-                    tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
-                    ind_ok = 1.0 if tester(iF, iT, (iD, iE)).independent else 0.0
-                    dep1 = 0.0 if tester(iD, iT, (iE, iF)).independent else 1.0
-                    dep2 = 0.0 if tester(iE, iT, (iD, iF)).independent else 1.0
-                    rows.append(
-                        {
-                            "n": n,
-                            "noise": noise,
-                            "test": kind,
-                            "replicate": rep,
-                            "seed": rep_seed,
-                            "tpr": ind_ok,
-                            "fpr": 1.0 - (dep1 + dep2) / 2.0,
-                            "accuracy_mean3": (ind_ok + dep1 + dep2) / 3.0,
-                            "accuracy_balanced": (ind_ok + (dep1 + dep2) / 2.0) / 2.0,
-                        }
-                    )
+    for n, noise, rep, rep_seed in _streams(seed, replicates, ns, noises):
+        table, _ = dsep_fixture(SampleSpec(n, noise, rep_seed))
+        iF, iD, iE, iT = (table.index_of(v) for v in ("F", "D", "E", "T"))
+        for kind in tests:
+            tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
+            ind_ok = 1.0 if tester(iF, iT, (iD, iE)).independent else 0.0
+            dep1 = 0.0 if tester(iD, iT, (iE, iF)).independent else 1.0
+            dep2 = 0.0 if tester(iE, iT, (iD, iF)).independent else 1.0
+            rows.append(
+                {
+                    "n": n,
+                    "noise": noise,
+                    "test": kind,
+                    "replicate": rep,
+                    "seed": rep_seed,
+                    "tpr": ind_ok,
+                    "fpr": 1.0 - (dep1 + dep2) / 2.0,
+                    "accuracy_mean3": (ind_ok + dep1 + dep2) / 3.0,
+                    "accuracy_balanced": (ind_ok + (dep1 + dep2) / 2.0) / 2.0,
+                }
+            )
     config = {
         "ns": list(ns),
         "noises": list(noises),
@@ -196,6 +198,37 @@ def run_dsep_benchmark(
 # -- Markov blanket benchmark -------------------------------------------------
 
 
+def _climb_sweep(
+    net: BayesNet,
+    data: CategoricalTable,
+    tester: IndependenceTest,
+    max_cond: int,
+    cap: int,
+    failures: list[dict],
+    **where,
+) -> dict[str, dict[str, set[str]]]:
+    """CLIMB roles of every node of ``net`` that stays within the partition cap.
+
+    All nodes share one :class:`PcCache`. A node refused by the cap gets a
+    failure row (``where`` plus node and error) and no entry in the result,
+    whose keys keep ``net.nodes`` order.
+    """
+    cache = PcCache()
+    roles: dict[str, dict[str, set[str]]] = {}
+    for v in net.nodes:
+        try:
+            res = climb(data, data.index_of(v), tester, max_cond, cap, cache=cache)
+        except PartitionCapError as exc:
+            failures.append({**where, "node": v, "error": str(exc)})
+            continue
+        roles[v] = {
+            "parents": {data.names[i] for i in res.parents},
+            "children": {data.names[i] for i in res.children},
+            "spouses": {data.names[i] for i in res.spouses},
+        }
+    return roles
+
+
 def run_mb_benchmark(
     net: BayesNet,
     sizes: Sequence[int],
@@ -208,53 +241,38 @@ def run_mb_benchmark(
 ) -> ExperimentResult:
     """Undirected-blanket F1 per node plus total independence-test counts."""
     dag = net.dag()
-    truth = {v: _truth_mb(dag, v) for v in net.nodes}
+    truth = {v: set().union(*_truth_roles(dag, v).values()) for v in net.nodes}
     rows = []
     failures = []
-    counter = 0
-    for n in sizes:
-        for rep in range(replicates):
-            rep_seed = derive_seed(seed, counter)
-            counter += 1
-            data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
-            idx = {v: i for i, v in enumerate(data.names)}
-            for method in methods:
-                kind = method.split("_")[-1]
-                tester = make_test(data, kind, alpha=alpha)
-                cache = PcCache()
-                f1s, precs, recs = [], [], []
-                for v in net.nodes:
-                    try:
-                        if method.startswith("climb"):
-                            res = climb(data, idx[v], tester, max_cond, cap, cache=cache)
-                            union = {data.names[i] for i in res.parents | res.children | res.spouses}
-                        else:
-                            mb, _ = pcmb(data, idx[v], tester, max_cond)
-                            union = {data.names[i] for i in mb}
-                    except PartitionCapError as exc:
-                        failures.append(
-                            {"n": n, "replicate": rep, "method": method, "node": v, "error": str(exc)}
-                        )
-                        continue
-                    p, r, f = set_metrics(union, truth[v])
-                    precs.append(p)
-                    recs.append(r)
-                    f1s.append(f)
-                rows.append(
-                    {
-                        "n": n,
-                        "method": method,
-                        "replicate": rep,
-                        "seed": rep_seed,
-                        "f1": float(np.mean(f1s)),
-                        "precision": float(np.mean(precs)),
-                        "recall": float(np.mean(recs)),
-                        "tests": tester.count,
-                        "failed_nodes": sum(
-                            1 for x in failures if x["replicate"] == rep and x["method"] == method and x["n"] == n
-                        ),
-                    }
-                )
+    for n, rep, rep_seed in _streams(seed, replicates, sizes):
+        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+        for method in methods:
+            tester = make_test(data, method.split("_")[-1], alpha=alpha)
+            if method.startswith("climb"):
+                roles = _climb_sweep(net, data, tester, max_cond, cap, failures,
+                                     n=n, replicate=rep, method=method)
+                blankets = {v: set().union(*r.values()) for v, r in roles.items()}
+            else:
+                blankets = {
+                    v: {data.names[i] for i in pcmb(data, data.index_of(v), tester, max_cond)[0]}
+                    for v in net.nodes
+                }
+            # per-node means in net.nodes order, over the nodes the cap let through
+            scores = [set_metrics(blankets[v], truth[v]) for v in blankets]
+            precision, recall, f1 = (float(np.mean([s[i] for s in scores])) for i in range(3))
+            rows.append(
+                {
+                    "n": n,
+                    "method": method,
+                    "replicate": rep,
+                    "seed": rep_seed,
+                    "f1": f1,
+                    "precision": precision,
+                    "recall": recall,
+                    "tests": tester.count,
+                    "failed_nodes": len(net.nodes) - len(blankets),
+                }
+            )
     config = {
         "net": net.name,
         "sizes": list(sizes),
@@ -282,35 +300,24 @@ def run_partition_benchmark(
     dag = net.dag()
     rows = []
     failures = []
-    counter = 0
-    for n in sizes:
-        for rep in range(replicates):
-            rep_seed = derive_seed(seed, counter)
-            counter += 1
-            data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
-            idx = {v: i for i, v in enumerate(data.names)}
-            accs = []
-            for v in net.nodes:
-                pa, ch = dag.parents(v), dag.children(v)
-                pc = pa | ch
-                if not pc:
-                    continue
-                try:
-                    part = find_best_partition(data, idx[v], {idx[u] for u in pc}, cap)
-                except PartitionCapError as exc:
-                    failures.append({"n": n, "replicate": rep, "node": v, "error": str(exc)})
-                    continue
-                got_pa = {data.names[i] for i in part.parents}
-                got_ch = {data.names[i] for i in part.children}
-                accs.append((len(got_pa & pa) + len(got_ch & ch)) / len(pc))
-            rows.append(
-                {
-                    "n": n,
-                    "replicate": rep,
-                    "seed": rep_seed,
-                    "accuracy": float(np.mean(accs)),
-                }
-            )
+    for n, rep, rep_seed in _streams(seed, replicates, sizes):
+        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+        idx = {v: i for i, v in enumerate(data.names)}
+        accs = []
+        for v in net.nodes:
+            pa, ch = dag.parents(v), dag.children(v)
+            pc = pa | ch
+            if not pc:
+                continue
+            try:
+                part = find_best_partition(data, idx[v], {idx[u] for u in pc}, cap)
+            except PartitionCapError as exc:
+                failures.append({"n": n, "replicate": rep, "node": v, "error": str(exc)})
+                continue
+            got_pa = {data.names[i] for i in part.parents}
+            got_ch = {data.names[i] for i in part.children}
+            accs.append((len(got_pa & pa) + len(got_ch & ch)) / len(pc))
+        rows.append({"n": n, "replicate": rep, "seed": rep_seed, "accuracy": float(np.mean(accs))})
     config = {"net": net.name, "sizes": list(sizes), "replicates": replicates, "seed": seed, "cap": cap}
     return ExperimentResult("partition", config, rows, ("n",), failures)
 
@@ -339,43 +346,27 @@ def run_cmb_benchmark(
     truth = {v: _truth_roles(dag, v) for v in net.nodes}
     rows = []
     failures = []
-    counter = 0
-    for n in sizes:
-        for rep in range(replicates):
-            rep_seed = derive_seed(seed, counter)
-            counter += 1
-            data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
-            idx = {v: i for i, v in enumerate(data.names)}
+    for n, rep, rep_seed in _streams(seed, replicates, sizes):
+        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
 
-            tester = make_test(data, "sci")
-            cache = PcCache()
-            pred_climb: dict[str, dict[str, set[str]]] = {}
-            for v in net.nodes:
-                try:
-                    res = climb(data, idx[v], tester, max_cond, cap, cache=cache)
-                except PartitionCapError as exc:
-                    failures.append({"n": n, "replicate": rep, "method": "climb", "node": v, "error": str(exc)})
-                    continue
-                pred_climb[v] = {
-                    "parents": {data.names[i] for i in res.parents},
-                    "children": {data.names[i] for i in res.children},
-                    "spouses": {data.names[i] for i in res.spouses},
-                }
-            p, r, f = mb_set_metrics(pred_climb, {v: truth[v] for v in pred_climb}, roles=True)
-            rows.append(
-                {"n": n, "method": "climb", "replicate": rep, "seed": rep_seed,
-                 "precision": p, "recall": r, "f1": f, "tests": tester.count}
-            )
+        tester = make_test(data, "sci")
+        pred_climb = _climb_sweep(net, data, tester, max_cond, cap, failures,
+                                  n=n, replicate=rep, method="climb")
+        p, r, f = mb_set_metrics(pred_climb, {v: truth[v] for v in pred_climb}, roles=True)
+        rows.append(
+            {"n": n, "method": "climb", "replicate": rep, "seed": rep_seed,
+             "precision": p, "recall": r, "f1": f, "tests": tester.count}
+        )
 
-            tester_pc = make_test(data, "g2", alpha=alpha)
-            skel, seps = pc_stable_skeleton(data, tester_pc, max_cond)
-            cpdag = orient_cpdag(skel, seps)
-            pred_pc = {v: _extract_pc_roles(cpdag, v) for v in net.nodes}
-            p, r, f = mb_set_metrics(pred_pc, truth, roles=True)
-            rows.append(
-                {"n": n, "method": "pc", "replicate": rep, "seed": rep_seed,
-                 "precision": p, "recall": r, "f1": f, "tests": tester_pc.count}
-            )
+        tester_pc = make_test(data, "g2", alpha=alpha)
+        skel, seps = pc_stable_skeleton(data, tester_pc, max_cond)
+        cpdag = orient_cpdag(skel, seps)
+        pred_pc = {v: _extract_pc_roles(cpdag, v) for v in net.nodes}
+        p, r, f = mb_set_metrics(pred_pc, truth, roles=True)
+        rows.append(
+            {"n": n, "method": "pc", "replicate": rep, "seed": rep_seed,
+             "precision": p, "recall": r, "f1": f, "tests": tester_pc.count}
+        )
     config = {"net": net.name, "sizes": list(sizes), "replicates": replicates, "seed": seed,
               "max_cond": max_cond, "cap": cap, "alpha": alpha}
     return ExperimentResult("cmb", config, rows, ("n", "method"), failures)
@@ -402,42 +393,32 @@ def run_causal_discovery(
     """
     rows = []
     failures = []
-    counter = 0
-    for net in nets:
-        truth = net.dag()
+    for (net, truth), rep, rep_seed in _streams(seed, replicates, [(net, net.dag()) for net in nets]):
         external = (external_cpdags or {}).get(net.name)
-        for rep in range(replicates):
-            rep_seed = derive_seed(seed, counter)
-            counter += 1
-            data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
 
-            def emit(method: str, graph: PDag, tests: int | None = None) -> None:
-                p, r, f = directed_edge_metrics(graph, truth)
-                row = {
-                    "net": net.name, "n": n, "method": method, "replicate": rep,
-                    "seed": rep_seed, "precision": p, "recall": r, "f1": f,
-                    "undirected": len(graph.undirected_edges()),
-                    "acyclic": graph.is_acyclic(),
-                }
-                if tests is not None:
-                    row["tests"] = tests
-                rows.append(row)
+        def emit(method: str, graph: PDag, tests: int | None = None) -> None:
+            p, r, f = directed_edge_metrics(graph, truth)
+            row = {
+                "net": net.name, "n": n, "method": method, "replicate": rep,
+                "seed": rep_seed, "precision": p, "recall": r, "f1": f,
+                "undirected": len(graph.undirected_edges()),
+                "acyclic": graph.is_acyclic(),
+            }
+            if tests is not None:
+                row["tests"] = tests
+            rows.append(row)
 
-            tester_g2 = make_test(data, "g2", alpha=alpha)
-            skel_g2, seps_g2 = pc_stable_skeleton(data, tester_g2, max_cond)
-            cpdag_g2 = orient_cpdag(skel_g2, seps_g2)
-            emit("pc_g2", cpdag_g2, tester_g2.count)
-            emit("pc_climb", climb_orient(cpdag_g2, data))
+        for kind, pc_method, climb_method in (("g2", "pc_g2", "pc_climb"), ("sci", "pc_sci", "pc_sci_climb")):
+            tester = make_test(data, kind, alpha=alpha)
+            skel, seps = pc_stable_skeleton(data, tester, max_cond)
+            cpdag = orient_cpdag(skel, seps)
+            emit(pc_method, cpdag, tester.count)
+            emit(climb_method, climb_orient(cpdag, data))
 
-            tester_sci = make_test(data, "sci")
-            skel_sci, seps_sci = pc_stable_skeleton(data, tester_sci, max_cond)
-            cpdag_sci = orient_cpdag(skel_sci, seps_sci)
-            emit("pc_sci", cpdag_sci, tester_sci.count)
-            emit("pc_sci_climb", climb_orient(cpdag_sci, data))
-
-            if external is not None:
-                emit("ext", external)
-                emit("ext_climb", climb_orient(external, data))
+        if external is not None:
+            emit("ext", external)
+            emit("ext_climb", climb_orient(external, data))
     config = {
         "nets": [net.name for net in nets],
         "n": n,
@@ -471,30 +452,26 @@ def run_zero_baseline(
     domain approaches the sample count, so it is reported, not scored.
     """
     rows = []
-    counter = 0
-    for ky in ky_grid:
-        for rep in range(replicates):
-            rep_seed = derive_seed(seed, counter)
-            counter += 1
-            rng = np.random.Generator(np.random.PCG64(rep_seed))
-            x = rng.integers(0, kx, size=n)
-            y = rng.integers(0, ky, size=n)
-            table = CategoricalTable(("X", "Y"), (x, y), (kx, ky))
-            hx = plugin_entropy(np.bincount(x, minlength=kx))
-            q = CiQuery(0, 1, (), table)
-            fp = empirical_cmi(q) / hx if hx > 0 else 0.0
-            stat = i_sc(q)
-            fs = max(stat, 0.0) / (n * hx) if hx > 0 else 0.0
-            rows.append(
-                {
-                    "k_y": ky,
-                    "replicate": rep,
-                    "seed": rep_seed,
-                    "f_plugin": fp,
-                    "f_sci": fs,
-                    "sci_zero": 1.0 if fs == 0.0 else 0.0,
-                    "sci_symmetric": sci(q).statistic,
-                }
-            )
+    for ky, rep, rep_seed in _streams(seed, replicates, ky_grid):
+        rng = np.random.Generator(np.random.PCG64(rep_seed))
+        x = rng.integers(0, kx, size=n)
+        y = rng.integers(0, ky, size=n)
+        table = CategoricalTable(("X", "Y"), (x, y), (kx, ky))
+        hx = plugin_entropy(np.bincount(x, minlength=kx))
+        q = CiQuery(0, 1, (), table)
+        fp = empirical_cmi(q) / hx if hx > 0 else 0.0
+        stat = i_sc(q)
+        fs = max(stat, 0.0) / (n * hx) if hx > 0 else 0.0
+        rows.append(
+            {
+                "k_y": ky,
+                "replicate": rep,
+                "seed": rep_seed,
+                "f_plugin": fp,
+                "f_sci": fs,
+                "sci_zero": 1.0 if fs == 0.0 else 0.0,
+                "sci_symmetric": sci(q).statistic,
+            }
+        )
     config = {"ky_grid": list(ky_grid), "n": n, "replicates": replicates, "kx": kx, "seed": seed}
     return ExperimentResult("zero_baseline", config, rows, ("k_y",))

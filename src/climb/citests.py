@@ -17,7 +17,7 @@ from scipy.stats import chi2
 
 from .nml import RegretTable, count_bits, regret_sum
 from .nml import conditional_sc  # noqa: F401  (still importable from this module)
-from .table import CategoricalTable, group_labels
+from .table import CategoricalTable, _dense_code, group_labels
 
 __all__ = [
     "CiQuery",
@@ -66,21 +66,15 @@ def _contingency(q: CiQuery) -> np.ndarray:
     z-groups follow the lexicographic order of their values, as in
     :func:`climb.table.group_labels`, so every statistic sums its terms in
     the order a per-grouping computation would. When the whole (z..., x, y)
-    domain is within the dense-counting cut of ``group_labels`` one mixed-radix
-    code covers it, and unrealized z-values get empty rows; above the cut the
-    rows are the realized z-groups only.
+    domain is within the dense-counting cut that ``group_labels`` also uses,
+    one mixed-radix code covers it, and unrealized z-values get empty rows;
+    above the cut the rows are the realized z-groups only.
     """
     t = q.table
     kx, ky = t.cards[q.x], t.cards[q.y]
-    radix = kx * ky
-    for c in q.z:
-        radix *= t.cards[c]
-    if radix <= 4 * t.n + 64:
-        cols = (*q.z, q.x, q.y)
-        code = t.columns[cols[0]].copy()
-        for c in cols[1:]:
-            code *= t.cards[c]
-            code += t.columns[c]
+    dense = _dense_code(t, (*q.z, q.x, q.y))
+    if dense is not None:
+        code, radix = dense
         groups = radix // (kx * ky)
     else:
         labels, sizes = group_labels(t, list(q.z))
@@ -274,19 +268,4 @@ class IndependenceTest:
         return verdict.statistic
 
 
-def make_test(
-    table: CategoricalTable,
-    kind: str,
-    alpha: float = 0.01,
-    cutoff: float = 0.0,
-    min_samples_per_dof: float = 10.0,
-    regrets: RegretTable | None = None,
-) -> IndependenceTest:
-    return IndependenceTest(
-        table=table,
-        kind=kind,
-        alpha=alpha,
-        cutoff=cutoff,
-        min_samples_per_dof=min_samples_per_dof,
-        regrets=regrets,
-    )
+make_test = IndependenceTest

@@ -60,13 +60,14 @@ def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
     """Run one conditional-independence test and print the verdict."""
     table = load_csv(data_path)
     tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
-    verdict = tester(table.index_of(x_name), table.index_of(y_name), _parse_names(table, z_names))
+    z = _parse_names(table, z_names)
+    verdict = tester(table.index_of(x_name), table.index_of(y_name), z)
     _echo_json(
         {
             "test": kind,
             "x": x_name,
             "y": y_name,
-            "z": sorted(z_names.split(",")) if z_names else [],
+            "z": sorted(table.names[i] for i in z),
             "statistic": verdict.statistic,
             "independent": verdict.independent,
             "p_value": verdict.p_value,
@@ -144,11 +145,7 @@ def orient(data_path, pdag_path, out_path) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def sample(bif_path, n, noise, seed, out_path) -> None:
     """Forward-sample a BIF network to CSV (plus a .domains sidecar)."""
-    try:
-        net = parse_bif(Path(bif_path).read_text())
-    except BifParseError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(FAILURE_EXIT)
+    net = _load_net(bif_path)
     table = forward_sample(net, SampleSpec(n, noise, seed))
     write_csv(table, out_path, labels={v: list(net.labels[v]) for v in net.nodes})
     click.echo(f"wrote {out_path}: {table.n} rows x {table.m} columns")

@@ -378,15 +378,19 @@ def directed_edge_metrics(predicted: PDag, truth: PDag) -> tuple[float, float, f
     return precision, recall, f1
 
 
-def set_metrics(predicted: set, truth: set) -> tuple[float, float, float]:
-    """Set-overlap precision/recall/F1 with empty-vs-empty scoring perfect."""
-    if not predicted and not truth:
+def _prf(tp: int, n_pred: int, n_true: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from overlap counts, empty-vs-empty scoring perfect."""
+    if n_pred == 0 and n_true == 0:
         return 1.0, 1.0, 1.0
-    tp = len(set(predicted) & set(truth))
-    precision = tp / len(predicted) if predicted else 0.0
-    recall = tp / len(truth) if truth else 0.0
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_true if n_true else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+def set_metrics(predicted: set, truth: set) -> tuple[float, float, float]:
+    """Set-overlap precision/recall/F1 with empty-vs-empty scoring perfect."""
+    return _prf(len(set(predicted) & set(truth)), len(predicted), len(truth))
 
 
 _ROLES = ("parents", "children", "spouses")
@@ -418,12 +422,7 @@ def mb_set_metrics(
             tp = len(set(pred_val) & set(true_val))
             n_pred = len(set(pred_val))
             n_true = len(set(true_val))
-        if n_pred == 0 and n_true == 0:
-            p = r = f = 1.0
-        else:
-            p = tp / n_pred if n_pred else 0.0
-            r = tp / n_true if n_true else 0.0
-            f = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        p, r, f = _prf(tp, n_pred, n_true)
         ps.append(p)
         rs.append(r)
         fs.append(f)

@@ -29,7 +29,6 @@ __all__ = [
     "RegretTable",
     "shared_regrets",
     "log_regret",
-    "log_regret_many",
     "plugin_entropy",
     "count_bits",
     "regret_sum",
@@ -144,10 +143,6 @@ def shared_regrets() -> RegretTable:
 
 def log_regret(card: int, n: int, regrets: RegretTable | None = None) -> float:
     return (regrets or _SHARED).log_regret(card, n)
-
-
-def log_regret_many(card: int, ns: np.ndarray, regrets: RegretTable | None = None) -> np.ndarray:
-    return (regrets or _SHARED).log_regret_many(card, ns)
 
 
 def plugin_entropy(counts: np.ndarray) -> float:

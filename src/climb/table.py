@@ -71,12 +71,6 @@ class CategoricalTable:
         except ValueError:
             raise KeyError(f"no column named {name!r}") from None
 
-    def column(self, i: int) -> np.ndarray:
-        return self.columns[i]
-
-    def card(self, i: int) -> int:
-        return self.cards[i]
-
     @staticmethod
     def from_columns(pairs: Sequence[tuple[str, Iterable[int], int]]) -> "CategoricalTable":
         """Build from (name, codes, cardinality) triples."""
@@ -84,6 +78,26 @@ class CategoricalTable:
         cols = tuple(np.asarray(p[1], dtype=np.int64) for p in pairs)
         cards = tuple(int(p[2]) for p in pairs)
         return CategoricalTable(names, cols, cards)
+
+
+def _dense_code(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarray, int] | None:
+    """Mixed-radix code of each row's joint value of ``cols``, and the domain size.
+
+    ``None`` when the joint domain exceeds 4n + 64: above that cut a bincount
+    over the whole domain costs more than grouping the realized values. The
+    first column is the most significant digit, so codes follow the
+    lexicographic order of the joint values. ``cols`` must be non-empty.
+    """
+    radix = 1
+    for c in cols:
+        radix *= table.cards[c]
+    if radix > 4 * table.n + 64:
+        return None
+    code = table.columns[cols[0]].copy()
+    for c in cols[1:]:
+        code *= table.cards[c]
+        code += table.columns[c]
+    return code, radix
 
 
 def group_labels(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +111,9 @@ def group_labels(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarr
     n = table.n
     if not cols:
         return np.zeros(n, dtype=np.int64), np.array([n], dtype=np.int64)
-    radix = 1
-    for c in cols:
-        radix *= table.cards[c]
-    if radix <= 4 * n + 64:
-        # joint values fit a small mixed-radix code: bincount is cheapest
-        code = table.columns[cols[0]].copy()
-        for c in cols[1:]:
-            code *= table.cards[c]
-            code += table.columns[c]
+    dense = _dense_code(table, cols)
+    if dense is not None:
+        code, radix = dense
         counts = np.bincount(code, minlength=radix)
         remap = np.cumsum(counts > 0, dtype=np.int64) - 1
         return remap[code], counts[counts > 0]

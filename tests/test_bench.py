@@ -82,6 +82,7 @@ class TestMbBenchmark:
         )
         assert result.failures
         assert all(f["method"] == "climb_sci" for f in result.failures)
+        assert sum(row["failed_nodes"] for row in result.rows) == len(result.failures)
 
 
 class TestPartitionBenchmark:

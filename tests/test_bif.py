@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,13 @@ class TestRoundTrip:
         assert again.parents == net.parents
         for v in net.nodes:
             assert np.allclose(again.cpts[v], net.cpts[v], atol=1e-12)
+
+    @pytest.mark.parametrize("maker", [blanket_demo_network, alarm_network])
+    def test_bundled_file_matches_generator(self, maker):
+        # the benchmark parses networks/alarm.bif; scripts/make_networks.py writes both
+        net = maker()
+        bundled = Path(__file__).resolve().parents[1] / "networks" / f"{net.name}.bif"
+        assert bundled.read_text() == serialize_bif(net)
 
     def test_alarm_size(self):
         net = alarm_network()

@@ -42,6 +42,13 @@ class TestCitest:
         assert obj["independent"] is True
         assert 0.0 <= obj["p_value"] <= 1.0
 
+    def test_z_echoes_parsed_names(self, workdir):
+        res = run_cli(
+            "citest", "--data", workdir / "demo.csv", "--x", "P1", "--y", "C1", "--z", "T, S,",
+        )
+        assert res.exit_code == 0
+        assert json.loads(res.output)["z"] == ["S", "T"]
+
 
 class TestMb:
     def test_blanket_json(self, workdir):
