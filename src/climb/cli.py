@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -29,10 +30,20 @@ def _echo_json(obj: dict) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _fail(message: str) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(FAILURE_EXIT)
+
+
+def _column(table, name: str) -> int:
+    try:
+        return table.index_of(name)
+    except KeyError as exc:
+        _fail(exc.args[0])
+
+
 def _parse_names(table, raw: str) -> tuple[int, ...]:
-    if not raw:
-        return ()
-    return tuple(table.index_of(name.strip()) for name in raw.split(",") if name.strip())
+    return tuple(_column(table, name.strip()) for name in raw.split(",") if name.strip())
 
 
 def _csv_ints(raw: str) -> tuple[int, ...]:
@@ -60,8 +71,11 @@ def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
     """Run one conditional-independence test and print the verdict."""
     table = load_csv(data_path)
     tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
-    z = _parse_names(table, z_names)
-    verdict = tester(table.index_of(x_name), table.index_of(y_name), z)
+    x, y, z = _column(table, x_name), _column(table, y_name), _parse_names(table, z_names)
+    try:
+        verdict = tester(x, y, z)
+    except ValueError as exc:
+        _fail(str(exc))
     _echo_json(
         {
             "test": kind,
@@ -88,10 +102,9 @@ def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
     table = load_csv(data_path)
     tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
     try:
-        res = run_climb(table, table.index_of(target), tester, max_cond, cap)
+        res = run_climb(table, _column(table, target), tester, max_cond, cap)
     except PartitionCapError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(FAILURE_EXIT)
+        _fail(str(exc))
     _echo_json(
         {
             "target": target,
@@ -172,16 +185,14 @@ def _load_net(bif_path: str):
     try:
         return parse_bif(Path(bif_path).read_text())
     except BifParseError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(FAILURE_EXIT)
+        _fail(str(exc))
 
 
 def _finish(result, out_dir: str) -> None:
     jpath, cpath = result.write(out_dir)
     click.echo(f"wrote {jpath} and {cpath}")
     if result.failures:
-        click.echo(f"{len(result.failures)} recorded failures", err=True)
-        sys.exit(FAILURE_EXIT)
+        _fail(f"{len(result.failures)} recorded failures")
 
 
 @bench.command("dsep")
@@ -253,8 +264,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
         graph = PDag.from_json_obj(json.loads(Path(cpdag_path).read_text()))
         external = {net.name: graph for net in nets if set(net.nodes) == set(graph.nodes)}
         if not external:
-            click.echo("external partial DAG matches no supplied network", err=True)
-            sys.exit(FAILURE_EXIT)
+            _fail("external partial DAG matches no supplied network")
     result = run_causal_discovery(nets, n, replicates, seed, max_cond, alpha, external)
     _finish(result, out_dir)
 

@@ -13,6 +13,13 @@ the remaining tail is provably below 2^-70 of the accumulated total (the
 summand ratio is strictly decreasing, which bounds the tail geometrically);
 everything else is the full linear recursion.
 
+:class:`RegretTable` memoizes these values per (k, n) and computes an entry
+only when a lookup asks for it, so a fresh table costs the distinct pairs its
+queries touch, not every n' <= n. Each entry is the same scalar evaluation
+whatever was asked before, so values are bit-identical to a full fill.
+``RegretTable.filled_upto(k)`` is the number of entries computed for k,
+minus one.
+
 Stochastic complexity of a column is its plug-in-entropy code length plus the
 log-regret; the conditional variant sums per-group complexities over the
 realized groups of a conditioning partition, always with the column's full
@@ -80,35 +87,38 @@ def _regret_bits(card: int, n: int) -> float:
 
 
 class RegretTable:
-    """Memoized log2-regret values, one incremental prefix per cardinality.
+    """Memoized log2-regret values, computed only for the (k, n) pairs asked for.
 
-    Computing the value for (k, n) fills every (k, n') with n' <= n; the
-    per-k prefixes are retained for the lifetime of the table. Fills are
-    serialized and idempotent, so concurrent readers always observe
-    identical values.
+    Each cardinality keeps one float64 array indexed by n, with NaN marking
+    the entries not computed yet. A lookup that meets a NaN computes just the
+    missing sample counts, each with the same scalar recursion, so a value
+    never depends on which other pairs were asked for before it. Values are
+    retained for the lifetime of the table. Computations are serialized and
+    idempotent, so concurrent readers always observe identical values.
     """
 
     def __init__(self) -> None:
-        self._prefix: dict[int, np.ndarray] = {}
+        self._values: dict[int, np.ndarray] = {}
+        self._computed: dict[int, int] = {}
         self._lock = threading.Lock()
 
-    def _ensure(self, card: int, n: int) -> np.ndarray:
-        arr = self._prefix.get(card)
-        if arr is not None and arr.shape[0] > n:
-            return arr
+    def _fill(self, card: int, ns: np.ndarray) -> np.ndarray:
+        """Compute every entry of ``ns`` not yet known; returns the card's array."""
         with self._lock:
-            arr = self._prefix.get(card)
-            if arr is not None and arr.shape[0] > n:
-                return arr
-            old = 0 if arr is None else arr.shape[0]
-            new = np.empty(n + 1, dtype=np.float64)
-            if old:
-                new[:old] = arr
-            for i in range(old, n + 1):
-                new[i] = _regret_bits(card, i)
-            new.flags.writeable = False
-            self._prefix[card] = new
-            return new
+            arr = self._values.get(card)
+            top = int(ns.max())
+            if arr is None or arr.shape[0] <= top:
+                # entries written below are published only with the grown array
+                grown = np.full(top + 1, np.nan)
+                if arr is not None:
+                    grown[: arr.shape[0]] = arr
+                arr = grown
+            missing = np.unique(ns[np.isnan(arr[ns])])
+            for n in missing.tolist():
+                arr[n] = _regret_bits(card, n)
+            self._computed[card] = self._computed.get(card, 0) + missing.size
+            self._values[card] = arr
+            return arr
 
     def log_regret(self, card: int, n: int) -> float:
         """log2-regret in bits for domain size ``card`` over ``n`` samples."""
@@ -118,19 +128,41 @@ class RegretTable:
             raise ValueError("sample count must be >= 0")
         if card == 1 or n == 0:
             return 0.0
-        return float(self._ensure(card, n)[n])
+        arr = self._values.get(card)
+        if arr is not None and n < arr.shape[0]:
+            value = float(arr[n])
+            if not math.isnan(value):
+                return value
+        return float(self._fill(card, np.array([n], dtype=np.int64))[n])
 
     def log_regret_many(self, card: int, ns: np.ndarray) -> np.ndarray:
         """Vectorized lookup for an array of sample counts."""
+        if card < 1:
+            raise ValueError("cardinality must be >= 1")
         ns = np.asarray(ns, dtype=np.int64)
-        if card == 1 or ns.size == 0:
+        if ns.size == 0:
             return np.zeros(ns.shape, dtype=np.float64)
-        arr = self._ensure(card, int(ns.max()))
-        return arr[ns]
+        if ns.min() < 0:
+            raise ValueError("sample count must be >= 0")
+        if card == 1:
+            return np.zeros(ns.shape, dtype=np.float64)
+        arr = self._values.get(card)
+        if arr is not None:
+            try:
+                out = arr[ns]
+            except IndexError:  # some n beyond the array: computed below
+                pass
+            else:
+                if not np.isnan(out).any():
+                    return out
+        return self._fill(card, ns)[ns]
 
     def filled_upto(self, card: int) -> int:
-        arr = self._prefix.get(card)
-        return -1 if arr is None else arr.shape[0] - 1
+        """Number of entries computed for ``card``, minus one (-1 when none).
+
+        After a lookup of every n' <= n on a fresh table this is n.
+        """
+        return self._computed.get(card, 0) - 1
 
 
 _SHARED = RegretTable()

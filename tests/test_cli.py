@@ -49,6 +49,20 @@ class TestCitest:
         assert res.exit_code == 0
         assert json.loads(res.output)["z"] == ["S", "T"]
 
+    @pytest.mark.parametrize("flag", ["--x", "--y", "--z"])
+    def test_unknown_column_exit_code(self, workdir, flag):
+        names = {"--x": "T", "--y": "C1", "--z": "S"}
+        names[flag] = "Q"
+        args = [a for pair in names.items() for a in pair]
+        res = run_cli("citest", "--data", workdir / "demo.csv", *args)
+        assert res.exit_code == 2
+        assert "no column named 'Q'" in res.output
+
+    def test_x_in_z_exit_code(self, workdir):
+        res = run_cli("citest", "--data", workdir / "demo.csv", "--x", "T", "--y", "C1", "--z", "S,T")
+        assert res.exit_code == 2
+        assert "x and y may not appear in the conditioning set" in res.output
+
 
 class TestMb:
     def test_blanket_json(self, workdir):
@@ -60,6 +74,11 @@ class TestMb:
         assert obj["spouses"] == ["S"]
         assert obj["tests_performed"] > 0
         assert 0 < obj["tests_evaluated"] < obj["tests_performed"]
+
+    def test_unknown_target_exit_code(self, workdir):
+        res = run_cli("mb", "--data", workdir / "demo.csv", "--target", "Q")
+        assert res.exit_code == 2
+        assert "no column named 'Q'" in res.output
 
 
 class TestPcAndOrient:

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from climb.nml import (
     RegretTable,
+    _regret_bits,
     conditional_sc,
     delta,
     log_regret,
@@ -79,7 +81,7 @@ class TestLogRegret:
     def test_prefix_consistency(self):
         table = RegretTable()
         first = table.log_regret(3, 50)
-        assert table.filled_upto(3) == 50
+        assert table.filled_upto(3) == 0  # exactly one entry computed
         lows = [table.log_regret(3, i) for i in range(51)]
         assert table.log_regret(3, 50) == first
         again = [table.log_regret(3, i) for i in range(51)]
@@ -96,6 +98,93 @@ class TestLogRegret:
             vals = table.log_regret_many(card, np.arange(1001))
             steps = np.diff(vals)
             assert np.all(np.diff(steps) <= 1e-12)
+
+    def test_on_demand_bits_match_scalar(self):
+        # shuffled pairs reach the block-halving path and n above _BLOCK = 2048
+        rng = np.random.default_rng(4)
+        fixed = [0, 1, 2, 3, 17, 50, 999, 1000, 1001, 2047, 2048, 2049, 2100]
+        pairs = [
+            (card, int(n))
+            for card in (2, 3, 4, 5, 16, 1024)
+            for n in fixed + rng.integers(0, 2101, size=12).tolist()
+        ]
+        order = rng.permutation(len(pairs))
+        table = RegretTable()
+        for i, j in enumerate(order):
+            card, n = pairs[j]
+            if i % 2:
+                got = table.log_regret(card, n)
+            else:
+                got = float(table.log_regret_many(card, np.array([n, n]))[1])
+            assert got.hex() == _regret_bits(card, n).hex(), (card, n)
+        for card in (2, 3, 4, 5, 16, 1024):
+            ns = np.array([n for c, n in pairs if c == card])
+            want = [_regret_bits(card, int(n)).hex() for n in ns]
+            assert [v.hex() for v in table.log_regret_many(card, ns).tolist()] == want
+
+    def test_many_computes_distinct_missing_only(self):
+        table = RegretTable()
+        table.log_regret_many(4, np.array([70, 7, 70, 7]))
+        assert table.filled_upto(4) == 1
+        table.log_regret_many(4, np.array([7, 300, 70]))
+        assert table.filled_upto(4) == 2
+        assert table.filled_upto(3) == -1
+
+    def test_fresh_tables_share_nothing(self):
+        first = RegretTable()
+        first.log_regret(3, 400)
+        first.log_regret_many(2, np.arange(100))
+        second = RegretTable()
+        assert second.filled_upto(3) == -1
+        assert second.filled_upto(2) == -1
+        assert second.log_regret(3, 400) == first.log_regret(3, 400)
+        assert second.filled_upto(3) == 0
+        assert second.filled_upto(2) == -1
+
+    def test_many_rejects_what_scalar_rejects(self):
+        table = RegretTable()
+        table.log_regret(3, 5)
+        for card in (1, 3):
+            with pytest.raises(ValueError):
+                table.log_regret(card, -1)
+            with pytest.raises(ValueError):
+                table.log_regret_many(card, np.array([5, -1]))
+        with pytest.raises(ValueError):
+            table.log_regret(0, 5)
+        with pytest.raises(ValueError):
+            table.log_regret_many(0, np.array([5, 6]))
+        with pytest.raises(ValueError):
+            table.log_regret_many(-2, np.array([], dtype=np.int64))
+        assert table.filled_upto(3) == 0
+
+    def test_concurrent_on_demand_stress(self):
+        # more threads than cores, switching often: a lost count or a torn
+        # read would show as a wrong value or a wrong number of entries
+        table = RegretTable()
+        wanted = list(range(0, 1200, 7))
+        want = {n: _regret_bits(5, n) for n in wanted}
+        errors = []
+
+        def worker(slot):
+            rng = np.random.default_rng(slot)
+            for n in rng.permutation(wanted).tolist():
+                got = table.log_regret(5, n) if n % 2 else float(table.log_regret_many(5, [n, 0])[0])
+                if got != want[n]:
+                    errors.append((slot, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert table.filled_upto(5) == len(wanted) - 1  # n = 0 is among them
 
     def test_concurrent_fill_identical(self):
         table = RegretTable()
