@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .citests import CiVerdict, IndependenceTest
 from .nml import RegretTable, conditional_sc, stochastic_complexity
-from .table import CategoricalTable, group_labels
+from .table import CategoricalTable, group_labels, refine_labels
 
 __all__ = [
     "Partition",
@@ -132,6 +132,8 @@ def find_pc(
     Returns the adjacent variables and, for every screened non-member, a
     conditioning set that separated it from the target.
     """
+    if max_cond < 0:
+        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
     if cache is not None and target in cache.full:
         return cache.full[target]
     cand, sepsets = _half_pc(table, target, test, max_cond, cache)
@@ -186,8 +188,14 @@ def find_best_partition(
 ) -> Partition:
     """Exhaustive minimum-cost split of ``pc_set`` into parents and children.
 
-    Ties prefer fewer parents, then the lexicographically smallest parent
-    name set, so the result does not depend on column order.
+    Every subset of the members is tried as the parent set, each exactly
+    once, depth first in member (name) order: a subset's row grouping is its
+    parent subset's grouping refined by one more member column
+    (:func:`climb.table.refine_labels`), which equals regrouping it from
+    scratch. So each subset costs one refinement plus one
+    :func:`climb.nml.conditional_sc`. Ties prefer fewer parents, then the
+    lexicographically smallest parent name set, so the result does not
+    depend on column order.
     """
     members = sorted(pc_set, key=lambda i: table.names[i])
     if len(members) > cap:
@@ -207,20 +215,22 @@ def find_best_partition(
     k_t = table.cards[target]
 
     best_key = None
-    best: Partition | None = None
-    for mask in range(1 << len(members)):
-        pa = [v for i, v in enumerate(members) if mask >> i & 1]
+    best: list[int] = []
+
+    def visit(pa: list[int], labels_pa, sizes_pa, nxt: int) -> None:
+        nonlocal best_key, best
         pa_set = set(pa)
-        labels_pa, _ = group_labels(table, pa)
         score = conditional_sc(x_t, k_t, labels_pa, regrets)
         for v in members:
             score += solo_cost[v] if v in pa_set else child_cost[v]
         key = (score, len(pa), tuple(table.names[v] for v in pa))
         if best_key is None or key < best_key:
-            best_key = key
-            best = Partition(frozenset(pa), frozenset(m for m in members if m not in pa))
-    assert best is not None
-    return best
+            best_key, best = key, pa
+        for i in range(nxt, len(members)):
+            visit(pa + [members[i]], *refine_labels(table, labels_pa, sizes_pa, members[i]), i + 1)
+
+    visit([], *group_labels(table, []), 0)
+    return Partition(frozenset(best), frozenset(m for m in members if m not in best))
 
 
 def climb(
@@ -340,6 +350,8 @@ def pcmb(
     max_cond: int = 3,
 ) -> tuple[frozenset[int], int]:
     """Reference undirected Markov blanket; returns the set and its test count."""
+    if max_cond < 0:
+        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
     start = test.count
 
     def get_pc(t: int) -> tuple[list[int], dict[int, frozenset[int]]]:

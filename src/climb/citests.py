@@ -228,6 +228,10 @@ class IndependenceTest:
     ) -> None:
         if kind not in ("sci", "g2", "cmi"):
             raise ValueError(f"unknown test kind {kind!r}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        if not cutoff >= 0.0:
+            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         self._table = table
         self._kind = kind
         self._alpha = alpha

@@ -42,6 +42,13 @@ def _column(table, name: str) -> int:
         _fail(exc.args[0])
 
 
+def _tester(table, kind: str, **config):
+    try:
+        return make_test(table, kind, **config)
+    except ValueError as exc:
+        _fail(str(exc))
+
+
 def _parse_names(table, raw: str) -> tuple[int, ...]:
     return tuple(_column(table, name.strip()) for name in raw.split(",") if name.strip())
 
@@ -70,7 +77,7 @@ def main() -> None:
 def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
     """Run one conditional-independence test and print the verdict."""
     table = load_csv(data_path)
-    tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
+    tester = _tester(table, kind, alpha=alpha, cutoff=cutoff)
     x, y, z = _column(table, x_name), _column(table, y_name), _parse_names(table, z_names)
     try:
         verdict = tester(x, y, z)
@@ -100,10 +107,10 @@ def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
 def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
     """Discover the causal Markov blanket of one target column."""
     table = load_csv(data_path)
-    tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
+    tester = _tester(table, kind, alpha=alpha, cutoff=cutoff)
     try:
         res = run_climb(table, _column(table, target), tester, max_cond, cap)
-    except PartitionCapError as exc:
+    except (PartitionCapError, ValueError) as exc:
         _fail(str(exc))
     _echo_json(
         {
@@ -126,8 +133,11 @@ def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
 def pc(data_path, kind, alpha, max_cond, out_path) -> None:
     """Stable-PC skeleton plus collider and closure orientation."""
     table = load_csv(data_path)
-    tester = make_test(table, kind, alpha=alpha)
-    skeleton, sepsets = pc_stable_skeleton(table, tester, max_cond)
+    tester = _tester(table, kind, alpha=alpha)
+    try:
+        skeleton, sepsets = pc_stable_skeleton(table, tester, max_cond)
+    except ValueError as exc:
+        _fail(str(exc))
     cpdag = orient_cpdag(skeleton, sepsets)
     Path(out_path).write_text(json.dumps(cpdag.to_json_obj(), indent=2, sort_keys=True) + "\n")
     click.echo(

@@ -200,6 +200,8 @@ def pc_stable_skeleton(
     that level (smallest test statistic, names breaking ties), which keeps
     downstream collider detection off spuriously-independent subsets.
     """
+    if max_cond < 0:
+        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
     names = table.names
     idx = {v: i for i, v in enumerate(names)}
     g = PDag(names)

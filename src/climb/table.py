@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["CategoricalTable", "group_labels"]
+__all__ = ["CategoricalTable", "group_labels", "refine_labels"]
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,26 @@ class CategoricalTable:
         return CategoricalTable(names, cols, cards)
 
 
+def _countable(radix: int, n: int) -> bool:
+    """Whether a bincount over a domain of ``radix`` values pays off for ``n`` rows.
+
+    Above 4n + 64 a bincount over the whole domain costs more than grouping
+    the realized values.
+    """
+    return radix <= 4 * n + 64
+
+
 def _dense_code(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarray, int] | None:
     """Mixed-radix code of each row's joint value of ``cols``, and the domain size.
 
-    ``None`` when the joint domain exceeds 4n + 64: above that cut a bincount
-    over the whole domain costs more than grouping the realized values. The
+    ``None`` when the joint domain is above the :func:`_countable` cut. The
     first column is the most significant digit, so codes follow the
     lexicographic order of the joint values. ``cols`` must be non-empty.
     """
     radix = 1
     for c in cols:
         radix *= table.cards[c]
-    if radix > 4 * table.n + 64:
+    if not _countable(radix, table.n):
         return None
     code = table.columns[cols[0]].copy()
     for c in cols[1:]:
@@ -100,24 +108,50 @@ def _dense_code(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarra
     return code, radix
 
 
+def _compact(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense labels and sizes of the realized values of ``code`` in [0, radix)."""
+    counts = np.bincount(code, minlength=radix)
+    present = counts > 0
+    remap = np.cumsum(present, dtype=np.int64) - 1
+    return remap[code], counts[present]
+
+
+def refine_labels(
+    table: CategoricalTable, labels: np.ndarray, sizes: np.ndarray, col: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split a row grouping by one more, less significant, column.
+
+    ``labels``/``sizes`` are a grouping as :func:`group_labels` returns it;
+    the result groups the rows by (old group, value of ``col``), numbered in
+    that lexicographic order, so refining ``group_labels(table, cols)`` by
+    ``c`` gives exactly ``group_labels(table, [*cols, c])``. Up to the
+    :func:`_countable` cut on g * k one bincount relabels; above it a 1-D
+    sort of the codes does, so a wide column never allocates a g * k array.
+    """
+    card = table.cards[col]
+    code = labels * card + table.columns[col]
+    radix = sizes.shape[0] * card
+    if _countable(radix, table.n):
+        return _compact(code, radix)
+    _, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
+    return inverse.astype(np.int64), counts.astype(np.int64)
+
+
 def group_labels(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Label each row by the joint value of ``cols``.
 
     Returns ``(labels, sizes)`` where ``labels`` maps each row to a dense
     group id in ``[0, g)`` and ``sizes[j]`` is the number of rows in group j.
-    Only realized joint values get a group. An empty ``cols`` puts every row
-    into one group.
+    Only realized joint values get a group, numbered in the lexicographic
+    order of their values, first column most significant. An empty ``cols``
+    puts every row into one group.
     """
-    n = table.n
-    if not cols:
-        return np.zeros(n, dtype=np.int64), np.array([n], dtype=np.int64)
-    dense = _dense_code(table, cols)
+    dense = _dense_code(table, cols) if cols else None
     if dense is not None:
-        code, radix = dense
-        counts = np.bincount(code, minlength=radix)
-        remap = np.cumsum(counts > 0, dtype=np.int64) - 1
-        return remap[code], counts[counts > 0]
-    # huge joint domain: sort-based dense relabeling
-    stacked = np.stack([table.columns[c] for c in cols])
-    _, labels, sizes = np.unique(stacked, axis=1, return_inverse=True, return_counts=True)
-    return labels.astype(np.int64).ravel(), sizes.astype(np.int64)
+        return _compact(*dense)
+    n = table.n
+    labels, sizes = np.zeros(n, dtype=np.int64), np.array([n], dtype=np.int64)
+    # a huge joint domain is refined one column at a time, over realized groups only
+    for c in cols:
+        labels, sizes = refine_labels(table, labels, sizes, c)
+    return labels, sizes

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from climb.bif import BayesNet
 from climb.blanket import (
@@ -14,7 +16,7 @@ from climb.blanket import (
 )
 from climb.citests import make_test
 from climb.netgen import blanket_demo_network
-from climb.nml import conditional_sc, stochastic_complexity
+from climb.nml import RegretTable, conditional_sc, stochastic_complexity
 from climb.sampling import SampleSpec, forward_sample
 from climb.table import CategoricalTable, group_labels
 
@@ -90,6 +92,14 @@ class TestFindPc:
         before = test.count
         find_pc(data, 1, test, cache=cache)
         assert test.count == before
+
+    @pytest.mark.parametrize("search", [find_pc, pcmb, climb])
+    def test_negative_max_cond_rejected(self, search):
+        data = forward_sample(chain_net(), SampleSpec(500, 0.0, 24))
+        test = make_test(data, "sci")
+        with pytest.raises(ValueError, match="max_cond"):
+            search(data, data.index_of("T"), test, max_cond=-1)
+        assert test.count == 0
 
 
 class TestScorePartition:
@@ -187,6 +197,64 @@ class TestFindBestPartition:
         a = find_best_partition(data, 0, frozenset({1, 2, 3}))
         b = find_best_partition(shuffled, t_new, pc_new)
         assert {data.names[v] for v in a.parents} == {shuffled.names[v] for v in b.parents}
+
+
+def exhaustive_partition(table, target, pc_set, regrets=None):
+    """Reference search: every subset regrouped from scratch, same sum and tie key."""
+    members = sorted(pc_set, key=lambda i: table.names[i])
+    if not members:
+        return Partition(frozenset(), frozenset())
+    solo_cost = {
+        v: stochastic_complexity(table.columns[v], table.cards[v], regrets) for v in members
+    }
+    labels_t, _ = group_labels(table, [target])
+    child_cost = {
+        v: conditional_sc(table.columns[v], table.cards[v], labels_t, regrets) for v in members
+    }
+    best_key = best = None
+    for mask in range(1 << len(members)):
+        pa = [v for i, v in enumerate(members) if mask >> i & 1]
+        labels_pa, _ = group_labels(table, pa)
+        score = conditional_sc(table.columns[target], table.cards[target], labels_pa, regrets)
+        for v in members:
+            score += solo_cost[v] if v in pa else child_cost[v]
+        key = (score, len(pa), tuple(table.names[v] for v in pa))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = Partition(frozenset(pa), frozenset(m for m in members if m not in pa))
+    return best
+
+
+# one member column each: uniform over 2-4 values, constant, 256 values (which
+# sends the reference's grouping above the dense-counting cut), or an exact
+# copy of the member before it (a leading copy has none and draws 2 values)
+_MEMBER_KINDS = st.lists(st.sampled_from(["small", "one", "wide", "dup"]), max_size=8)
+
+
+class TestPartitionSearchProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_MEMBER_KINDS, st.integers(1, 40), st.integers(0, 2 ** 31))
+    @example(["small", "one", "wide", "dup", "small", "small", "dup", "small"], 30, 3)
+    @example(["wide", "dup", "one", "small"], 7, 11)
+    @example([], 5, 0)
+    def test_matches_exhaustive_reference(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        cols = [("T", rng.integers(0, 3, n), 3)]
+        for kind in kinds:
+            if kind == "dup" and len(cols) > 1:
+                cols.append(cols[-1])
+                continue
+            card = {"small": int(rng.integers(2, 5)), "one": 1, "wide": 256, "dup": 2}[kind]
+            cols.append((None, rng.integers(0, card, n), card))
+        # names drawn apart from column order, so member order is name order only
+        names = [f"v{i:02d}" for i in rng.permutation(len(cols))]
+        table = CategoricalTable.from_columns(
+            [(name, codes, card) for name, (_, codes, card) in zip(names, cols)]
+        )
+        pc = frozenset(range(1, len(cols)))
+        regrets = RegretTable()
+        got = find_best_partition(table, 0, pc, regrets=regrets)
+        assert got == exhaustive_partition(table, 0, pc, regrets)
 
 
 class TestClimb:

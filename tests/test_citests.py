@@ -266,6 +266,22 @@ class TestMakeTest:
         with pytest.raises(ValueError):
             make_test(balanced_pair(8), "fisher")
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alpha": 0.0}, "alpha"),
+            ({"alpha": 1.0}, "alpha"),
+            ({"alpha": 2.0}, "alpha"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"cutoff": -1.0}, "cutoff"),
+            ({"cutoff": float("nan")}, "cutoff"),
+        ],
+    )
+    def test_out_of_range_settings_rejected_for_every_kind(self, config, message):
+        for kind in ("sci", "g2", "cmi"):
+            with pytest.raises(ValueError, match=message):
+                make_test(balanced_pair(8), kind, **config)
+
     def test_strength_orderings(self):
         x = np.array([0, 1] * 50)
         t = table_from([("x", x, 2), ("y", x, 2), ("w", np.zeros(100, dtype=int), 2)])

@@ -96,6 +96,28 @@ class TestPcAndOrient:
         assert all(e["directed"] for e in out["edges"])
 
 
+class TestOutOfRangeSettings:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            (["citest", "--x", "T", "--y", "C1", "--test", "cmi"], ["--cutoff", "-1"], "cutoff must be >= 0"),
+            (["citest", "--x", "T", "--y", "C1", "--test", "g2"], ["--alpha", "2"], "alpha must lie in (0, 1)"),
+            (["mb", "--target", "T", "--test", "cmi"], ["--cutoff", "-1"], "cutoff must be >= 0"),
+            (["mb", "--target", "T", "--test", "g2"], ["--alpha", "2"], "alpha must lie in (0, 1)"),
+            (["mb", "--target", "T"], ["--max-cond", "-1"], "max_cond must be >= 0"),
+            (["pc", "--test", "g2", "--out", "never.json"], ["--alpha", "2"], "alpha must lie in (0, 1)"),
+            (["pc", "--out", "never.json"], ["--max-cond", "-1"], "max_cond must be >= 0"),
+        ],
+        ids=["citest-cutoff", "citest-alpha", "mb-cutoff", "mb-alpha", "mb-max-cond", "pc-alpha", "pc-max-cond"],
+    )
+    def test_rejected_with_exit_code(self, workdir, tmp_path, command, flags, message):
+        command = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+        res = run_cli(*command, "--data", workdir / "demo.csv", *flags)
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not (tmp_path / "never.json").exists()
+
+
 class TestSampling:
     def test_sample_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

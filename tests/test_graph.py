@@ -135,6 +135,13 @@ class TestSkeleton:
         assert skel.undirected_edges() == [("X0", "X1"), ("X1", "X2")]
         assert seps[frozenset(("X0", "X2"))] == frozenset(("X1",))
 
+    def test_negative_max_cond_rejected(self):
+        data = self.sample(n=200)
+        test = make_test(data, "sci")
+        with pytest.raises(ValueError, match="max_cond"):
+            pc_stable_skeleton(data, test, max_cond=-1)
+        assert test.count == 0
+
     def test_independent_columns_empty_graph(self):
         rng = np.random.default_rng(8)
         cols = [(f"c{i}", rng.integers(0, 3, 4000), 3) for i in range(4)]

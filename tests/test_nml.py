@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from climb.nml import (
@@ -18,7 +18,7 @@ from climb.nml import (
     shared_regrets,
     stochastic_complexity,
 )
-from climb.table import CategoricalTable, group_labels
+from climb.table import CategoricalTable, group_labels, refine_labels
 
 
 def _compositions(total, parts):
@@ -331,6 +331,35 @@ class TestGroupLabels:
         )
         assert sizes_small.tolist() == expected_sizes.tolist()
         assert labels_small.tolist() == expected_labels.ravel().tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3, 4, 1024]), min_size=1, max_size=6),
+        st.integers(1, 80),
+        st.integers(0, 2 ** 31),
+    )
+    # joint domains under the 4n + 64 cut, and above it with a wide column mid-list
+    @example([2, 3, 4], 60, 1)
+    @example([3, 1024, 2, 4], 60, 2)
+    @example([2, 2, 2, 2, 2, 2], 5, 3)
+    def test_matches_sort_reference_both_sides_of_cut(self, cards, n, seed):
+        rng = np.random.default_rng(seed)
+        t = CategoricalTable.from_columns(
+            [(f"x{i}", rng.integers(0, k, n), k) for i, k in enumerate(cards)]
+        )
+        cols = list(range(len(cards)))
+        labels, sizes = group_labels(t, cols)
+        _, expected_labels, expected_sizes = np.unique(
+            np.stack([t.columns[c] for c in cols]), axis=1, return_inverse=True, return_counts=True
+        )
+        np.testing.assert_array_equal(labels, expected_labels.ravel())
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        # one refinement step from the grouping of every prefix gives the same
+        for cut in range(len(cols)):
+            refined = refine_labels(t, *group_labels(t, cols[:cut]), cols[cut])
+            expect = group_labels(t, cols[: cut + 1])
+            np.testing.assert_array_equal(refined[0], expect[0])
+            np.testing.assert_array_equal(refined[1], expect[1])
 
 
 class TestSharedTable:
