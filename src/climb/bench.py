@@ -73,7 +73,7 @@ class ExperimentResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         jpath = out_dir / f"{self.experiment}.json"
         cpath = out_dir / f"{self.experiment}_rows.csv"
-        jpath.write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n")
+        jpath.write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False) + "\n")
         with open(cpath, "w", newline="") as fh:
             if self.rows:
                 cols = sorted(self.rows[0])
@@ -91,7 +91,11 @@ class ExperimentResult:
 
 
 def aggregate_rows(rows: Sequence[Mapping], group_keys: Sequence[str]) -> list[dict]:
-    """Mean and sample standard deviation of every numeric field per group."""
+    """Mean and sample standard deviation of every numeric field per group.
+
+    A ``None`` value (a replicate with nothing to score) is left out of its
+    field's mean and deviation; a field with no value at all gets ``None``.
+    """
     groups: dict[tuple, list[Mapping]] = {}
     for row in rows:
         key = tuple(row[k] for k in group_keys)
@@ -104,20 +108,32 @@ def aggregate_rows(rows: Sequence[Mapping], group_keys: Sequence[str]) -> list[d
         metric_keys = [
             k
             for k in members[0]
-            if k not in group_keys and isinstance(members[0][k], (int, float)) and not isinstance(members[0][k], bool)
+            if k not in group_keys and _numeric_or_none(members[0][k])
         ]
         for mk in metric_keys:
-            vals = [float(m[mk]) for m in members]
-            mean = sum(vals) / len(vals)
-            if len(vals) > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-                sd = math.sqrt(var)
+            vals = [float(m[mk]) for m in members if m[mk] is not None]
+            if not vals:
+                mean = sd = None
             else:
-                sd = 0.0
+                mean = sum(vals) / len(vals)
+                if len(vals) > 1:
+                    var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+                    sd = math.sqrt(var)
+                else:
+                    sd = 0.0
             agg[f"{mk}_mean"] = mean
             agg[f"{mk}_sd"] = sd
         out.append(agg)
     return out
+
+
+def _numeric_or_none(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _mean_or_none(values: Sequence[float]) -> float | None:
+    """Mean of ``values``, or ``None`` (JSON ``null``) when there are none."""
+    return float(np.mean(values)) if len(values) else None
 
 
 def _streams(seed: int, replicates: int, *axes: Iterable) -> Iterator[tuple]:
@@ -259,7 +275,7 @@ def run_mb_benchmark(
                 }
             # per-node means in net.nodes order, over the nodes the cap let through
             scores = [set_metrics(blankets[v], truth[v]) for v in blankets]
-            precision, recall, f1 = (float(np.mean([s[i] for s in scores])) for i in range(3))
+            precision, recall, f1 = (_mean_or_none([s[i] for s in scores]) for i in range(3))
             rows.append(
                 {
                     "n": n,
@@ -317,7 +333,7 @@ def run_partition_benchmark(
             got_pa = {data.names[i] for i in part.parents}
             got_ch = {data.names[i] for i in part.children}
             accs.append((len(got_pa & pa) + len(got_ch & ch)) / len(pc))
-        rows.append({"n": n, "replicate": rep, "seed": rep_seed, "accuracy": float(np.mean(accs))})
+        rows.append({"n": n, "replicate": rep, "seed": rep_seed, "accuracy": _mean_or_none(accs)})
     config = {"net": net.name, "sizes": list(sizes), "replicates": replicates, "seed": seed, "cap": cap}
     return ExperimentResult("partition", config, rows, ("n",), failures)
 

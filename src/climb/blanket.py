@@ -88,10 +88,8 @@ def _half_pc(
         return cache.half[target]
     sepsets: dict[int, frozenset[int]] = {}
     ranked = []
-    for v in range(table.m):
-        if v == target:
-            continue
-        verdict = test(target, v, ())
+    others = [v for v in range(table.m) if v != target]
+    for v, verdict in zip(others, test.many(target, others, ())):
         if verdict.independent:
             sepsets[v] = frozenset()
         else:
@@ -301,25 +299,22 @@ def _get_pcd(
     can = sorted((v for v in range(table.m) if v != target), key=lambda i: names[i])
     sepsets: dict[int, frozenset[int]] = {}
 
-    def weakest(v: int, pool: list[int]) -> tuple[CiVerdict, frozenset[int]]:
-        best_verdict = None
-        best_set: frozenset[int] = frozenset()
-        best_key = None
+    def weakest(vs: list[int], pool: list[int]) -> list[tuple[CiVerdict, frozenset[int]]]:
+        """Per v, the least dependent verdict over the subsets of ``pool``."""
+        best: list[tuple[tuple, CiVerdict, frozenset[int]] | None] = [None] * len(vs)
         for size in range(0, min(max_cond, len(pool)) + 1):
             for zs in combinations(pool, size):
-                verdict = test(target, v, zs)
-                key = (test.strength(verdict), [names[i] for i in zs])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_verdict = verdict
-                    best_set = frozenset(zs)
-        return best_verdict, best_set
+                zs_names = [names[i] for i in zs]
+                for i, verdict in enumerate(test.many(target, vs, zs)):
+                    key = (test.strength(verdict), zs_names)
+                    if best[i] is None or key < best[i][0]:
+                        best[i] = (key, verdict, frozenset(zs))
+        return [(verdict, sep) for _, verdict, sep in best]
 
     while can:
         keep = []
         strengths = {}
-        for v in can:
-            verdict, sep = weakest(v, pcd)
+        for v, (verdict, sep) in zip(can, weakest(can, pcd)):
             if verdict.independent:
                 sepsets[v] = sep
             else:
@@ -334,7 +329,7 @@ def _get_pcd(
         drop = []
         for v in pcd:
             pool = [u for u in pcd if u != v]
-            verdict, sep = weakest(v, pool)
+            ((verdict, sep),) = weakest([v], pool)
             if verdict.independent:
                 drop.append(v)
                 sepsets[v] = sep

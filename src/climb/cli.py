@@ -198,7 +198,12 @@ def _load_net(bif_path: str):
         _fail(str(exc))
 
 
-def _finish(result, out_dir: str) -> None:
+def _finish(out_dir: str, runner, *args, **kwargs) -> None:
+    """Run one bench suite, write its files, and exit 2 on refused settings or failures."""
+    try:
+        result = runner(*args, **kwargs)
+    except ValueError as exc:
+        _fail(str(exc))
     jpath, cpath = result.write(out_dir)
     click.echo(f"wrote {jpath} and {cpath}")
     if result.failures:
@@ -215,11 +220,10 @@ def _finish(result, out_dir: str) -> None:
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cutoff", type=float, default=0.0)
 def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -> None:
-    result = run_dsep_benchmark(
-        _csv_ints(sizes), _csv_floats(noises), replicates,
+    _finish(
+        out_dir, run_dsep_benchmark, _csv_ints(sizes), _csv_floats(noises), replicates,
         tuple(t.strip() for t in tests.split(",")), seed, alpha, cutoff,
     )
-    _finish(result, out_dir)
 
 
 @bench.command("mb")
@@ -230,8 +234,8 @@ def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -
 @click.option("--sizes", default="1000,5000")
 @click.option("--max-cond", type=int, default=3)
 def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    result = run_mb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates, seed=seed, max_cond=max_cond)
-    _finish(result, out_dir)
+    _finish(out_dir, run_mb_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates,
+            seed=seed, max_cond=max_cond)
 
 
 @bench.command("partition")
@@ -241,8 +245,7 @@ def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
 @click.option("--seed", type=int, default=0)
 @click.option("--sizes", default="1000,5000")
 def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
-    result = run_partition_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates, seed=seed)
-    _finish(result, out_dir)
+    _finish(out_dir, run_partition_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates, seed=seed)
 
 
 @bench.command("cmb")
@@ -253,8 +256,8 @@ def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
 @click.option("--sizes", default="1000,5000")
 @click.option("--max-cond", type=int, default=3)
 def bench_cmb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    result = run_cmb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates, seed=seed, max_cond=max_cond)
-    _finish(result, out_dir)
+    _finish(out_dir, run_cmb_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates,
+            seed=seed, max_cond=max_cond)
 
 
 @bench.command("discovery")
@@ -275,8 +278,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
         external = {net.name: graph for net in nets if set(net.nodes) == set(graph.nodes)}
         if not external:
             _fail("external partial DAG matches no supplied network")
-    result = run_causal_discovery(nets, n, replicates, seed, max_cond, alpha, external)
-    _finish(result, out_dir)
+    _finish(out_dir, run_causal_discovery, nets, n, replicates, seed, max_cond, alpha, external)
 
 
 @bench.command("zero-baseline")
@@ -286,8 +288,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
 @click.option("-n", "n", type=int, default=1000)
 @click.option("--ky-grid", default="1,4,16,64,256,1024")
 def bench_zero_baseline(out_dir, replicates, seed, n, ky_grid) -> None:
-    result = run_zero_baseline(_csv_ints(ky_grid), n, replicates, seed=seed)
-    _finish(result, out_dir)
+    _finish(out_dir, run_zero_baseline, _csv_ints(ky_grid), n, replicates, seed=seed)
 
 
 if __name__ == "__main__":

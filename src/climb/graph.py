@@ -214,30 +214,33 @@ def pc_stable_skeleton(
         adj = {v: sorted(g.adjacent(v)) for v in names}
         if all(len(adj[v]) - 1 < level for v in names):
             break
-        to_remove: list[tuple[str, str, frozenset[str]]] = []
-        for a, b in g.undirected_edges():
-            best: tuple[float, tuple[str, ...]] | None = None
+        # every query of the level, once per pair and distinct set, batched
+        # by (base, z): one kernel call answers every other node of a batch
+        edges = g.undirected_edges()
+        batches: dict[tuple[int, tuple[int, ...]], list[tuple[int, int, tuple[str, ...]]]] = {}
+        for pair, (a, b) in enumerate(edges):
             seen: set[frozenset[str]] = set()
-            for base in (a, b):
-                other = b if base == a else a
+            for base, other in ((a, b), (b, a)):
                 pool = [v for v in adj[base] if v != other]
-                if len(pool) < level:
-                    continue
                 for zs in combinations(pool, level):
                     key = frozenset(zs)
                     if key in seen:
                         continue
                     seen.add(key)
-                    verdict = test(idx[base], idx[other], tuple(idx[v] for v in zs))
-                    if verdict.independent:
-                        cand = (test.strength(verdict), tuple(sorted(zs)))
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None:
-                to_remove.append((a, b, frozenset(best[1])))
-        for a, b, sep in to_remove:
-            g.remove_edge(a, b)
-            sepsets[frozenset((a, b))] = sep
+                    z = tuple(idx[v] for v in zs)
+                    batches.setdefault((idx[base], z), []).append((pair, idx[other], zs))
+        best: list[tuple[float, tuple[str, ...]] | None] = [None] * len(edges)
+        for (base, z), asked in batches.items():
+            verdicts = test.many(base, [other for _, other, _ in asked], z)
+            for (pair, _, zs), verdict in zip(asked, verdicts):
+                if verdict.independent:
+                    cand = (test.strength(verdict), tuple(sorted(zs)))
+                    if best[pair] is None or cand < best[pair]:
+                        best[pair] = cand
+        for (a, b), found in zip(edges, best):
+            if found is not None:
+                g.remove_edge(a, b)
+                sepsets[frozenset((a, b))] = frozenset(found[1])
         level += 1
     return g, sepsets
 

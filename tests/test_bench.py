@@ -37,6 +37,15 @@ class TestAggregation:
         again = aggregate_rows(result.rows, result.group_keys)
         assert again == result.aggregates
 
+    def test_none_left_out_of_mean_and_sd(self):
+        rows = [{"g": "a", "x": None}, {"g": "a", "x": 1.0}, {"g": "a", "x": 3.0}, {"g": "b", "x": None}]
+        out = aggregate_rows(rows, ("g",))
+        a = next(r for r in out if r["g"] == "a")
+        assert (a["count"], a["x_mean"]) == (3, 2.0)
+        assert a["x_sd"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
+        b = next(r for r in out if r["g"] == "b")
+        assert b["x_mean"] is None and b["x_sd"] is None
+
     def test_bools_are_not_averaged(self):
         rows = [{"g": "a", "flag": True, "x": 1.0}]
         out = aggregate_rows(rows, ("g",))
@@ -149,6 +158,27 @@ class TestWriting:
         assert set(obj) == {"experiment", "config", "rows", "aggregates", "failures"}
         header = cpath.read_text().splitlines()[0]
         assert "accuracy_balanced" in header
+
+    @pytest.mark.parametrize("runner", ["mb", "partition"])
+    def test_fully_capped_replicate_is_strict_json_null(self, tmp_path, runner):
+        # cap 0 refuses every node with a parent or child; in the mb run's
+        # replicate at n = 600, seed 7, that is every node
+        net = blanket_demo_network()
+        if runner == "mb":
+            result = run_mb_benchmark(net, sizes=(600,), replicates=1, seed=7, cap=0, methods=("climb_sci",))
+            fields = ("f1", "precision", "recall")
+            assert result.rows[0]["failed_nodes"] == len(net.nodes)
+        else:
+            result = run_partition_benchmark(net, sizes=(300,), replicates=1, seed=9, cap=0)
+            fields = ("accuracy",)
+        jpath, _ = result.write(tmp_path)
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        obj = json.loads(jpath.read_text(), parse_constant=refuse)
+        assert all(obj["rows"][0][f] is None for f in fields)
+        assert all(obj["aggregates"][0][f"{f}_mean"] is None for f in fields)
 
     def test_rerun_byte_identical(self, tmp_path):
         blobs = []

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climb.citests import CiQuery, empirical_cmi, g2_test, i_sc, make_test, sci
+from climb.citests import CiQuery, CiVerdict, empirical_cmi, g2_test, i_sc, make_test, sci
 from climb.netgen import alarm_network
 from climb.sampling import SampleSpec, derive_seed, forward_sample
 from climb.table import CategoricalTable
@@ -149,6 +149,44 @@ def test_memoised_verdicts_bit_identical(tables, golden):
                 assert (verdict.statistic.hex(), verdict.p_value.hex()) == (want["g2"], want["g2_p"])
             else:
                 assert verdict.statistic.hex() == want["cmi"]
+
+
+@pytest.mark.parametrize("kind", ["sci", "g2", "cmi"])
+def test_batched_verdicts_bit_identical(tables, golden, kind):
+    # every query once more through many(), one batch per (table, x, z)
+    batches: dict[tuple[str, int, tuple[int, ...]], list[int]] = {}
+    for name, x, y, z in _queries(tables):
+        batches.setdefault((name, x, z), []).append(y)
+    testers = {name: make_test(t, kind, min_samples_per_dof=0.0) for name, t in tables.items()}
+    for (name, x, z), ys in batches.items():
+        for y, verdict in zip(ys, testers[name].many(x, ys, z)):
+            want = golden[_key(name, x, y, z)]
+            assert verdict.statistic.hex() == want[kind], _key(name, x, y, z)
+            if kind == "g2":
+                assert verdict.p_value.hex() == want["g2_p"], _key(name, x, y, z)
+    assert sum(t.count for t in testers.values()) == len(_queries(tables))
+    assert any(len(ys) > 1 for ys in batches.values())
+
+
+def test_wide_batches_match_single_queries(tables):
+    # each golden (x, z) on alarm against every other column at once: the
+    # shared (x, z) margins must give what a fresh single query gives
+    alarm = tables["alarm"]
+    given = {(x, z) for name, x, _, z in _queries(tables) if name == "alarm"}
+    for kind in ("sci", "g2", "cmi"):
+        tester = make_test(alarm, kind)
+        for x, z in sorted(given):
+            ys = [y for y in range(alarm.m) if y != x and y not in z]
+            for y, verdict in zip(ys, tester.many(x, ys, z)):
+                q = CiQuery(x, y, z, alarm)
+                if kind == "sci":
+                    want = sci(q)
+                elif kind == "g2":
+                    want = g2_test(q)
+                else:
+                    want = CiVerdict(empirical_cmi(q), empirical_cmi(q) <= 0.0)
+                assert (verdict.statistic.hex(), verdict.p_value, verdict.independent) == (
+                    want.statistic.hex(), want.p_value, want.independent), (kind, x, y, z)
 
 
 if __name__ == "__main__":

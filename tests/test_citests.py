@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from climb.citests import CiQuery, cmi_test, empirical_cmi, g2_test, i_sc, make_test, sci
-from climb.nml import log_regret
+from climb.nml import RegretTable, log_regret
 from climb.table import CategoricalTable
 
 
@@ -290,3 +292,80 @@ class TestMakeTest:
             strong = tester.strength(tester(0, 1, ()))
             weak = tester.strength(tester(0, 2, ()))
             assert strong > weak
+
+
+def _verdict_bits(verdict):
+    return (verdict.statistic.hex(), verdict.p_value, verdict.independent)
+
+
+@st.composite
+def batch_cases(draw):
+    """A table, warm-up queries and one batch (x, ys, z), maybe with an invalid y."""
+    n = draw(st.integers(0, 150))
+    cards = draw(st.lists(st.sampled_from([1, 2, 3, 4, 17]), min_size=5, max_size=8))
+    seed = draw(st.integers(0, 2 ** 31))
+    m = len(cards)
+    x = draw(st.integers(0, m - 1))
+    rest = [v for v in range(m) if v != x]
+    z = tuple(draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)))
+    free = [v for v in rest if v not in z]
+    ys = draw(st.lists(st.sampled_from(free), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([x, m, -1, *z]))
+        ys.insert(draw(st.integers(0, len(ys))), bad)
+    # warm-up queries, some of them the batch's own (also swapped), for memo hits
+    warm = [(y, x, z) if draw(st.booleans()) else (x, y, z) for y in draw(st.lists(st.sampled_from(free), max_size=4))]
+    kind = draw(st.sampled_from(["sci", "g2", "cmi"]))
+    floor = draw(st.sampled_from([0.0, 10.0]))
+    return n, cards, seed, warm, (x, ys, z), kind, floor
+
+
+class TestMany:
+    """``many(x, ys, z)`` is the one-by-one loop of ``__call__``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_equals_one_by_one(self, case):
+        n, cards, seed, warm, (x, ys, z), kind, floor = case
+        rng = np.random.default_rng(seed)
+        t = table_from([(f"c{i}", rng.integers(0, k, n), k) for i, k in enumerate(cards)])
+        single, batched = (make_test(t, kind, min_samples_per_dof=floor, regrets=RegretTable()) for _ in range(2))
+        for tester in (single, batched):
+            for q in warm:
+                tester(*q)
+        try:
+            want = [_verdict_bits(single(x, y, z)) for y in ys]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                batched.many(x, ys, z)
+            assert str(got.value) == str(exc)
+        else:
+            assert [_verdict_bits(v) for v in batched.many(x, ys, z)] == want
+        assert (batched.count, batched.evaluated) == (single.count, single.evaluated)
+
+    def test_repeats_and_swaps_hit_the_memo(self):
+        rng = np.random.default_rng(5)
+        t = table_from([(c, rng.integers(0, 3, 80), 3) for c in "abcde"])
+        tester = make_test(t, "sci")
+        tester(3, 0, (4,))
+        verdicts = tester.many(0, [1, 2, 1, 3, 2], (4,))
+        assert (tester.count, tester.evaluated) == (6, 3)
+        assert verdicts[0] is verdicts[2] and verdicts[1] is verdicts[4]
+
+    def test_invalid_y_raises_after_the_ys_before_it(self):
+        tester = make_test(balanced_pair(16), "g2")
+        with pytest.raises(ValueError, match="x and y must differ"):
+            tester.many(0, [1, 0, 1], ())
+        assert (tester.count, tester.evaluated) == (2, 1)
+
+    def test_empty_batch(self):
+        tester = make_test(balanced_pair(16), "sci")
+        assert tester.many(0, [], ()) == []
+        assert (tester.count, tester.evaluated) == (0, 0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # p-values come from scipy.special.chdtrc; scipy.stats costs about a second to import
+    code = "import sys, climb; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -177,3 +177,24 @@ class TestBench:
             ],
         )
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "suite, flags, message",
+        [
+            ("dsep", ["--alpha", "2"], "alpha must lie in (0, 1)"),
+            ("dsep", ["--tests", "fisher"], "unknown test kind"),
+            ("mb", ["--max-cond", "-1"], "max_cond must be >= 0"),
+            ("cmb", ["--max-cond", "-1"], "max_cond must be >= 0"),
+            ("discovery", ["--alpha", "2"], "alpha must lie in (0, 1)"),
+            ("discovery", ["--max-cond", "-1"], "max_cond must be >= 0"),
+        ],
+        ids=["dsep-alpha", "dsep-kind", "mb-max-cond", "cmb-max-cond", "discovery-alpha", "discovery-max-cond"],
+    )
+    def test_refused_settings_exit_code(self, workdir, tmp_path, suite, flags, message):
+        net = [] if suite == "dsep" else ["--bif", workdir / "demo.bif"]
+        size = ["-n", 100] if suite == "discovery" else ["--sizes", 100]
+        res = run_cli("bench", suite, "--out-dir", tmp_path / "out", "--replicates", 1, *size, *net, *flags)
+        assert res.exit_code == 2
+        assert message in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "out").exists()

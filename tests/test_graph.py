@@ -1,5 +1,6 @@
 import json
 import logging
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -162,6 +163,59 @@ class TestSkeleton:
         s2, seps2 = pc_stable_skeleton(shuffled, make_test(shuffled, "sci"), 2)
         assert s1 == s2
         assert seps1 == seps2
+
+
+def reference_skeleton(table, test, max_cond):
+    """Stable PC with one test call per query, in pair order (the unbatched loop)."""
+    names = table.names
+    idx = {v: i for i, v in enumerate(names)}
+    g = PDag(names)
+    for a, b in combinations(sorted(names), 2):
+        g.add_undirected(a, b)
+    sepsets = {}
+    for level in range(max_cond + 1):
+        adj = {v: sorted(g.adjacent(v)) for v in names}
+        if all(len(adj[v]) - 1 < level for v in names):
+            break
+        to_remove = []
+        for a, b in g.undirected_edges():
+            best = None
+            seen = set()
+            for base in (a, b):
+                other = b if base == a else a
+                pool = [v for v in adj[base] if v != other]
+                for zs in combinations(pool, level):
+                    if frozenset(zs) in seen:
+                        continue
+                    seen.add(frozenset(zs))
+                    verdict = test(idx[base], idx[other], tuple(idx[v] for v in zs))
+                    if verdict.independent:
+                        cand = (test.strength(verdict), tuple(sorted(zs)))
+                        if best is None or cand < best:
+                            best = cand
+            if best is not None:
+                to_remove.append((a, b, frozenset(best[1])))
+        for a, b, sep in to_remove:
+            g.remove_edge(a, b)
+            sepsets[frozenset((a, b))] = sep
+    return g, sepsets
+
+
+class TestBatchedSkeleton:
+    """The level-wise batches ask exactly the queries of the per-query loop."""
+
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    @pytest.mark.parametrize("net_seed, n", [(1, 300), (2, 1000), (3, 2000), (4, 600)])
+    def test_equals_reference_loop(self, kind, net_seed, n):
+        net = random_net(14, 0.2, net_seed, card_range=(2, 4))
+        data = forward_sample(net, SampleSpec(n, 0.0, net_seed))
+        batched, reference = make_test(data, kind), make_test(data, kind)
+        skel, seps = pc_stable_skeleton(data, batched, 3)
+        ref_skel, ref_seps = reference_skeleton(data, reference, 3)
+        assert skel == ref_skel
+        assert seps == ref_seps
+        assert (batched.count, batched.evaluated) == (reference.count, reference.evaluated)
+        assert batched.count > 0
 
 
 class TestOrientation:
