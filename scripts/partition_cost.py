@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Median cost of partition search per subset, by parents-and-children size.
+
+The data are n = 2000 rows of uniform columns with 2-4 values each (numpy
+seed 0): one target and 14 members, of which a search at |PC| = k uses the
+first k. Each row of output is the median over ``--repeats`` searches of
+``find_best_partition`` divided by its 2^k subsets, with the regret table
+warmed by one untimed search first. Run from the repo root:
+
+    PYTHONPATH=src python scripts/partition_cost.py
+"""
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from climb.blanket import find_best_partition
+from climb.nml import RegretTable
+from climb.table import CategoricalTable
+
+N = 2000
+SIZES = (6, 10, 12, 14)
+
+
+def make_table() -> CategoricalTable:
+    rng = np.random.default_rng(0)
+    cols = []
+    for i in range(1 + max(SIZES)):
+        card = int(rng.integers(2, 5))
+        cols.append((f"v{i:02d}", rng.integers(0, card, N), card))
+    return CategoricalTable.from_columns(cols)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--repeats", default=5, type=int, help="timed searches per size")
+    args = ap.parse_args()
+
+    table = make_table()
+    regrets = RegretTable()
+    print(f"n = {N}, repeats = {args.repeats}")
+    for k in SIZES:
+        pc = set(range(1, k + 1))
+        find_best_partition(table, 0, pc, regrets=regrets)  # warms the regret table
+        runs = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            find_best_partition(table, 0, pc, regrets=regrets)
+            runs.append(time.perf_counter() - start)
+        print(f"|PC| = {k:2d}: {statistics.median(runs) / 2 ** k * 1e6:7.1f} us per subset")
+
+
+if __name__ == "__main__":
+    main()

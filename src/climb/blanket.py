@@ -3,8 +3,10 @@
 ``find_pc`` recovers the parents-and-children set of a target with a
 grow-shrink search plus AND symmetry correction. ``score_partition`` prices a
 split of that set into parents and children by total code length, and
-``find_best_partition`` minimizes it exhaustively. ``climb`` combines the two
-and then walks the children to pick up spouses, yielding the causal blanket.
+``find_best_partition`` minimizes it exhaustively, scoring each subset of a
+depth-first walk from one count array over (subset grouping, new member,
+target). ``climb`` combines the two and then walks the children to pick up
+spouses, yielding the causal blanket.
 
 ``pcmb`` is the classical reference blanket algorithm (candidate set with
 repeated re-ranking, symmetry filter, spouse search over the whole
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .citests import CiVerdict, IndependenceTest
-from .nml import RegretTable, conditional_sc, stochastic_complexity
-from .table import CategoricalTable, group_labels, refine_labels
+from .nml import RegretTable, conditional_sc, count_bits, regret_sum, stochastic_complexity
+from .table import CategoricalTable, _countable, group_labels, refine_labels
 
 __all__ = [
     "Partition",
@@ -177,6 +181,46 @@ def score_partition(
     return total
 
 
+def _refined_term(
+    table: CategoricalTable,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    col: int,
+    target: int,
+    regrets: RegretTable | None,
+    relabel: bool,
+) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """Target term over a row grouping refined by one more column.
+
+    ``labels``/``sizes`` are a grouping as :func:`climb.table.group_labels`
+    returns it. Returns ``(term, labels, sizes)`` for the grouping refined by
+    ``col``; ``term`` equals ``conditional_sc`` of the target over it bit for
+    bit. Up to the :func:`climb.table._countable` cut on g * k_col * k_target,
+    one bincount over (group, col value, target value) gives both: its row
+    sums are the refined group sizes (zero for unrealized pairs), and its
+    positive cells are ``conditional_sc``'s cells in the same order. The
+    refined labels then cost one gather, made only when ``relabel`` asks
+    (``None`` otherwise). Above the cut, :func:`climb.table.refine_labels`
+    refines first and the target is counted against its labels.
+    """
+    x_t, k_t = table.columns[target], table.cards[target]
+    k_c = table.cards[col]
+    code = labels * k_c + table.columns[col]
+    rows = sizes.shape[0] * k_c
+    if _countable(rows * k_t, table.n):
+        cells = np.bincount(code * k_t + x_t, minlength=rows * k_t).reshape(rows, k_t)
+        # row sums: numpy's sum(axis=1) is slow over rows of a few values
+        counts = cells @ np.ones(k_t, dtype=np.int64)
+        present = counts > 0
+        sizes = counts[present]
+        labels = (np.cumsum(present, dtype=np.int64) - 1)[code] if relabel else None
+    else:
+        labels, sizes = refine_labels(table, labels, sizes, col)
+        cells = np.bincount(labels * k_t + x_t, minlength=sizes.shape[0] * k_t)
+    term = count_bits(sizes) - count_bits(cells[cells > 0]) + regret_sum(k_t, sizes, regrets)
+    return term, labels, sizes
+
+
 def find_best_partition(
     table: CategoricalTable,
     target: int,
@@ -187,14 +231,28 @@ def find_best_partition(
     """Exhaustive minimum-cost split of ``pc_set`` into parents and children.
 
     Every subset of the members is tried as the parent set, each exactly
-    once, depth first in member (name) order: a subset's row grouping is its
-    parent subset's grouping refined by one more member column
-    (:func:`climb.table.refine_labels`), which equals regrouping it from
-    scratch. So each subset costs one refinement plus one
-    :func:`climb.nml.conditional_sc`. Ties prefer fewer parents, then the
+    once, depth first in member (name) order. Only the target term depends
+    on the subset. A subset's term comes from its parent subset's grouping
+    and one more member column: one bincount over (group, member value,
+    target value) yields the refined group sizes and the target's cells
+    together (see ``_refined_term``), so each subset costs one bincount over
+    the rows, plus one gather to relabel them where the walk goes deeper.
+    Every term equals :func:`climb.nml.conditional_sc` over the subset's
+    grouping bit for bit. Ties prefer fewer parents, then the
     lexicographically smallest parent name set, so the result does not
     depend on column order.
+
+    Raises ``ValueError`` for a negative ``cap``, or when ``pc_set`` holds
+    the target or an index outside [0, m), and :class:`PartitionCapError`
+    when ``pc_set`` has more than ``cap`` members.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    for v in pc_set:
+        if not 0 <= v < table.m:
+            raise ValueError(f"pc_set index {v} outside [0, {table.m})")
+        if v == target:
+            raise ValueError(f"pc_set holds the target {table.names[target]!r}")
     members = sorted(pc_set, key=lambda i: table.names[i])
     if len(members) > cap:
         raise PartitionCapError(table.names[target], len(members), cap)
@@ -209,25 +267,27 @@ def find_best_partition(
     child_cost = {
         v: conditional_sc(table.columns[v], table.cards[v], labels_t, regrets) for v in members
     }
-    x_t = table.columns[target]
-    k_t = table.cards[target]
 
     best_key = None
     best: list[int] = []
+    last = len(members) - 1
 
-    def visit(pa: list[int], labels_pa, sizes_pa, nxt: int) -> None:
+    def visit(pa: list[int], term: float, labels_pa, sizes_pa, nxt: int) -> None:
         nonlocal best_key, best
         pa_set = set(pa)
-        score = conditional_sc(x_t, k_t, labels_pa, regrets)
+        score = term
         for v in members:
             score += solo_cost[v] if v in pa_set else child_cost[v]
         key = (score, len(pa), tuple(table.names[v] for v in pa))
         if best_key is None or key < best_key:
             best_key, best = key, pa
         for i in range(nxt, len(members)):
-            visit(pa + [members[i]], *refine_labels(table, labels_pa, sizes_pa, members[i]), i + 1)
+            step = _refined_term(table, labels_pa, sizes_pa, members[i], target, regrets, i < last)
+            visit(pa + [members[i]], *step, i + 1)
 
-    visit([], *group_labels(table, []), 0)
+    labels, sizes = group_labels(table, [])
+    root = conditional_sc(table.columns[target], table.cards[target], labels, regrets)
+    visit([], root, labels, sizes, 0)
     return Partition(frozenset(best), frozenset(m for m in members if m not in best))
 
 
@@ -250,7 +310,10 @@ def climb(
 
     Passing a :class:`PcCache` lets runs over many targets of the same data
     reuse neighbourhood searches instead of repeating their tests.
+    A negative ``cap`` is refused with ``ValueError`` before any test runs.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     start = test.count
     pc, sepsets = find_pc(table, target, test, max_cond, cache)
     part = find_best_partition(table, target, pc, cap, regrets)

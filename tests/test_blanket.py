@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from climb.bif import BayesNet
 from climb.blanket import (
     Partition,
+    _refined_term,
     PartitionCapError,
     PcCache,
     climb,
@@ -180,6 +181,23 @@ class TestFindBestPartition:
         assert "v0" in str(err.value)
         assert "5" in str(err.value)
 
+    def test_negative_cap_refused(self):
+        data = forward_sample(chain_net(), SampleSpec(100, 0.0, 1))
+        for pc in (set(), {1, 2}):
+            with pytest.raises(ValueError, match="cap must be >= 0"):
+                find_best_partition(data, 0, pc, cap=-1)
+        # cap = 0 stays valid: an empty set is split, a member is refused
+        assert find_best_partition(data, 0, set(), cap=0) == Partition(frozenset(), frozenset())
+        with pytest.raises(PartitionCapError):
+            find_best_partition(data, 0, {1}, cap=0)
+
+    @pytest.mark.parametrize("bad", [0, 3, 99, -1])
+    def test_invalid_member_refused(self, bad):
+        data = forward_sample(chain_net(), SampleSpec(100, 0.0, 1))
+        message = "holds the target" if bad == 0 else "outside"
+        with pytest.raises(ValueError, match=message):
+            find_best_partition(data, 0, {1, 2, bad})
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(21)
         base = [("T", rng.integers(0, 2, 400), 2)] + [
@@ -226,35 +244,87 @@ def exhaustive_partition(table, target, pc_set, regrets=None):
 
 
 # one member column each: uniform over 2-4 values, constant, 256 values (which
-# sends the reference's grouping above the dense-counting cut), or an exact
-# copy of the member before it (a leading copy has none and draws 2 values)
-_MEMBER_KINDS = st.lists(st.sampled_from(["small", "one", "wide", "dup"]), max_size=8)
+# sends the reference's grouping above the dense-counting cut), 256 declared
+# values of which at most 3 occur (above the cut, yet with large cells), or an
+# exact copy of the member before it (a leading copy has none and draws 2 values)
+_MEMBER_KINDS = st.lists(st.sampled_from(["small", "one", "wide", "sparse", "dup"]), max_size=8)
+
+
+# the target column, drawn like a member: with 256 declared values every
+# refinement is above the dense-counting cut
+_TARGET_KINDS = st.sampled_from(["one", "small", "wide", "sparse"])
+
+
+def _random_column(rng, kind, n):
+    card = {"small": int(rng.integers(2, 5)), "one": 1, "wide": 256, "sparse": 256, "dup": 2}[kind]
+    if kind == "sparse":
+        return rng.choice(rng.choice(card, 3), n), card
+    return rng.integers(0, card, n), card
+
+
+def _random_table(target_kind, kinds, n, seed):
+    """Target in column 0, then one member column per kind, names shuffled."""
+    rng = np.random.default_rng(seed)
+    cols = [("T", *_random_column(rng, target_kind, n))]
+    for kind in kinds:
+        if kind == "dup" and len(cols) > 1:
+            cols.append(cols[-1])
+            continue
+        cols.append((None, *_random_column(rng, kind, n)))
+    # names drawn apart from column order, so member order is name order only
+    names = [f"v{i:02d}" for i in rng.permutation(len(cols))]
+    return CategoricalTable.from_columns(
+        [(name, codes, card) for name, (_, codes, card) in zip(names, cols)]
+    )
 
 
 class TestPartitionSearchProperty:
     @settings(max_examples=60, deadline=None)
-    @given(_MEMBER_KINDS, st.integers(1, 40), st.integers(0, 2 ** 31))
-    @example(["small", "one", "wide", "dup", "small", "small", "dup", "small"], 30, 3)
-    @example(["wide", "dup", "one", "small"], 7, 11)
-    @example([], 5, 0)
-    def test_matches_exhaustive_reference(self, kinds, n, seed):
-        rng = np.random.default_rng(seed)
-        cols = [("T", rng.integers(0, 3, n), 3)]
-        for kind in kinds:
-            if kind == "dup" and len(cols) > 1:
-                cols.append(cols[-1])
-                continue
-            card = {"small": int(rng.integers(2, 5)), "one": 1, "wide": 256, "dup": 2}[kind]
-            cols.append((None, rng.integers(0, card, n), card))
-        # names drawn apart from column order, so member order is name order only
-        names = [f"v{i:02d}" for i in rng.permutation(len(cols))]
-        table = CategoricalTable.from_columns(
-            [(name, codes, card) for name, (_, codes, card) in zip(names, cols)]
-        )
-        pc = frozenset(range(1, len(cols)))
+    @given(_TARGET_KINDS, _MEMBER_KINDS, st.integers(0, 40), st.integers(0, 2 ** 31))
+    @example("small", ["small", "one", "wide", "dup", "small", "small", "dup", "small"], 30, 3)
+    @example("small", ["wide", "dup", "one", "small"], 7, 11)
+    @example("small", [], 5, 0)
+    @example("wide", ["small", "dup", "one"], 20, 4)
+    @example("one", ["small", "wide"], 12, 5)
+    @example("small", ["small", "wide", "dup"], 0, 6)
+    def test_matches_exhaustive_reference(self, target_kind, kinds, n, seed):
+        table = _random_table(target_kind, kinds, n, seed)
+        pc = frozenset(range(1, table.m))
         regrets = RegretTable()
         got = find_best_partition(table, 0, pc, regrets=regrets)
         assert got == exhaustive_partition(table, 0, pc, regrets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TARGET_KINDS, _MEMBER_KINDS, st.integers(0, 300), st.integers(0, 2 ** 31))
+    @example("small", ["small", "wide", "small"], 30, 1)  # a card-256 member
+    @example("wide", ["small", "small"], 30, 2)  # a card-256 target
+    @example("small", ["small", "sparse", "small", "small"], 300, 8)
+    @example("sparse", ["small", "small", "small"], 300, 9)
+    @example("one", ["small", "one", "small"], 25, 3)  # card-1 target and member
+    @example("small", ["one", "one", "small"], 25, 4)  # card-1 members
+    @example("small", ["small", "dup", "dup", "wide", "dup"], 35, 5)  # duplicate columns
+    @example("small", ["small", "wide", "dup"], 0, 6)  # no rows
+    @example("wide", ["wide", "small"], 0, 7)
+    def test_refined_term_matches_conditional_sc(self, target_kind, kinds, n, seed):
+        """Every subset's fused term is ``conditional_sc`` over its grouping, bit for bit."""
+        table = _random_table(target_kind, kinds, n, seed)
+        x_t, k_t = table.columns[0], table.cards[0]
+        regrets = RegretTable()
+
+        def walk(subset, labels, sizes, nxt):
+            for i in range(nxt, table.m):
+                cols = [*subset, i]
+                want_labels, want_sizes = group_labels(table, cols)
+                want = conditional_sc(x_t, k_t, want_labels, regrets)
+                leaf, _, leaf_sizes = _refined_term(table, labels, sizes, i, 0, regrets, False)
+                term, got_labels, got_sizes = _refined_term(table, labels, sizes, i, 0, regrets, True)
+                assert term.hex() == want.hex() == leaf.hex()
+                assert np.array_equal(got_labels, want_labels)
+                assert np.array_equal(got_sizes, want_sizes)
+                assert np.array_equal(leaf_sizes, want_sizes)
+                walk(cols, got_labels, got_sizes, i + 1)
+
+        walk([], *group_labels(table, []), 1)
 
 
 class TestClimb:
@@ -315,6 +385,13 @@ class TestClimb:
         data = forward_sample(net, SampleSpec(8000, 0.0, 44))
         with pytest.raises(PartitionCapError):
             climb(data, data.index_of("T"), make_test(data, "sci"), cap=1)
+
+    def test_negative_cap_refused_before_any_test(self):
+        data = forward_sample(chain_net(), SampleSpec(500, 0.0, 24))
+        test = make_test(data, "sci")
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            climb(data, data.index_of("T"), test, cap=-1)
+        assert test.count == 0
 
     def test_concurrent_targets_match_sequential(self):
         import threading

@@ -105,10 +105,11 @@ class TestOutOfRangeSettings:
             (["mb", "--target", "T", "--test", "cmi"], ["--cutoff", "-1"], "cutoff must be >= 0"),
             (["mb", "--target", "T", "--test", "g2"], ["--alpha", "2"], "alpha must lie in (0, 1)"),
             (["mb", "--target", "T"], ["--max-cond", "-1"], "max_cond must be >= 0"),
+            (["mb", "--target", "T"], ["--cap", "-1"], "cap must be >= 0"),
             (["pc", "--test", "g2", "--out", "never.json"], ["--alpha", "2"], "alpha must lie in (0, 1)"),
             (["pc", "--out", "never.json"], ["--max-cond", "-1"], "max_cond must be >= 0"),
         ],
-        ids=["citest-cutoff", "citest-alpha", "mb-cutoff", "mb-alpha", "mb-max-cond", "pc-alpha", "pc-max-cond"],
+        ids=["citest-cutoff", "citest-alpha", "mb-cutoff", "mb-alpha", "mb-max-cond", "mb-cap", "pc-alpha", "pc-max-cond"],
     )
     def test_rejected_with_exit_code(self, workdir, tmp_path, command, flags, message):
         command = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
