@@ -8,8 +8,11 @@ Parse errors carry the offending line and column.
 """
 from __future__ import annotations
 
+import itertools
+import math
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class BayesNet:
     def __post_init__(self) -> None:
         for v in self.nodes:
             k = len(self.labels[v])
-            rows = int(np.prod([len(self.labels[p]) for p in self.parents[v]])) if self.parents[v] else 1
+            rows = math.prod(len(self.labels[p]) for p in self.parents[v])
             cpt = self.cpts[v]
             if cpt.shape != (rows, k):
                 raise ValueError(f"{v}: CPT shape {cpt.shape} does not cover {rows} x {k}")
@@ -67,16 +70,24 @@ class BayesNet:
                 g.add_directed(p, v)
         return g
 
-    def config_index(self, v: str, parent_codes: tuple[int, ...]) -> int:
-        idx = 0
-        for p, code in zip(self.parents[v], parent_codes):
-            idx = idx * self.card(p) + code
-        return idx
+    def config_index(self, v: str, parent_codes: Sequence):
+        """CPT row of v for parent codes given in declared order (ints or code vectors)."""
+        return _config_index([self.card(p) for p in self.parents[v]], parent_codes)
+
+
+def _config_index(cards: Sequence[int], codes: Sequence):
+    """Mixed-radix row index, first parent slowest; elementwise on code vectors."""
+    idx = 0
+    for k, code in zip(cards, codes):
+        idx = idx * k + code
+    return idx
 
 
 # -- tokenizer ---------------------------------------------------------------
 
-_PUNCT = set("{}()[]|,;")
+# a comment, one punctuation mark, or a word: a run of anything else that
+# stops at whitespace, punctuation and the start of a comment
+_TOKEN = re.compile(r"(//[^\n]*)|[{}()\[\]|,;]|(?:[^\s{}()\[\]|,;/]|/(?!/))+")
 
 
 @dataclass(frozen=True)
@@ -87,31 +98,16 @@ class _Token:
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            yield _Token(ch, line, col)
-            i += 1
-            col += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in _PUNCT and text[i : i + 2] != "//":
-                i += 1
-                col += 1
-            yield _Token(text[start:i], line, start_col)
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        breaks = text.count("\n", pos, start)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", pos, start) + 1
+        pos = m.end()
+        if m.group(1) is None:
+            yield _Token(m.group(), line, start - line_start + 1)
 
 
 class _TokenStream:
@@ -135,6 +131,12 @@ class _TokenStream:
         if tok.text != text:
             raise BifParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
+
+    def until(self, end: str, what: str) -> Iterator[_Token]:
+        """The tokens before the next ``end`` (consumed), commas skipped."""
+        while (tok := self.next(what)).text != end:
+            if tok.text != ",":
+                yield tok
 
     def at_end(self) -> bool:
         return self._pos >= len(self._tokens)
@@ -206,14 +208,7 @@ def _parse_variable(ts: _TokenStream, order: list[str], labels: dict) -> None:
         raise BifParseError("cardinality must be >= 1", k_tok.line, k_tok.col)
     ts.expect("]")
     ts.expect("{")
-    cats: list[str] = []
-    while True:
-        tok = ts.next("category label or '}'")
-        if tok.text == "}":
-            break
-        if tok.text == ",":
-            continue
-        cats.append(tok.text)
+    cats = [tok.text for tok in ts.until("}", "category label or '}'")]
     ts.expect(";")
     ts.expect("}")
     if len(cats) != k:
@@ -235,12 +230,7 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
     par: list[str] = []
     tok = ts.next("'|' or ')'")
     if tok.text == "|":
-        while True:
-            p_tok = ts.next("parent name")
-            if p_tok.text in (",",):
-                continue
-            if p_tok.text == ")":
-                break
+        for p_tok in ts.until(")", "parent name"):
             if p_tok.text not in labels:
                 raise BifParseError(f"unknown variable {p_tok.text!r}", p_tok.line, p_tok.col)
             par.append(p_tok.text)
@@ -250,7 +240,8 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
         raise BifParseError(f"expected '|' or ')', found {tok.text!r}", tok.line, tok.col)
 
     k = len(labels[child])
-    rows = int(np.prod([len(labels[p]) for p in par])) if par else 1
+    cards = [len(labels[p]) for p in par]
+    rows = math.prod(cards)
     cpt = np.full((rows, k), np.nan)
     seen = np.zeros(rows, dtype=bool)
 
@@ -271,23 +262,15 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
             seen[:] = True
         elif tok.text == "(":
             codes: list[int] = []
-            while True:
-                lab = ts.next("parent value or ')'")
-                if lab.text == ")":
-                    break
-                if lab.text == ",":
-                    continue
-                pos = len(codes)
-                if pos >= len(par):
+            for lab in ts.until(")", "parent value or ')'"):
+                if len(codes) >= len(par):
                     raise BifParseError(
                         f"row for {child!r} lists more values than parents", lab.line, lab.col
                     )
-                cats = labels[par[pos]]
-                if lab.text not in cats:
-                    raise BifParseError(
-                        f"{lab.text!r} is not a value of {par[pos]!r}", lab.line, lab.col
-                    )
-                codes.append(cats.index(lab.text))
+                p = par[len(codes)]
+                if lab.text not in labels[p]:
+                    raise BifParseError(f"{lab.text!r} is not a value of {p!r}", lab.line, lab.col)
+                codes.append(labels[p].index(lab.text))
             if len(codes) != len(par):
                 raise BifParseError(
                     f"row for {child!r} lists {len(codes)} parent values, expected {len(par)}",
@@ -301,9 +284,7 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
                     tok.line,
                     tok.col,
                 )
-            idx = 0
-            for p, code in zip(par, codes):
-                idx = idx * len(labels[p]) + code
+            idx = _config_index(cards, codes)
             if seen[idx]:
                 raise BifParseError(f"duplicate row for {child!r}", tok.line, tok.col)
             seen[idx] = True
@@ -328,14 +309,7 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
 
 
 def _read_values(ts: _TokenStream) -> list[float]:
-    values: list[float] = []
-    while True:
-        tok = ts.next("number or ';'")
-        if tok.text == ";":
-            return values
-        if tok.text == ",":
-            continue
-        values.append(_number(tok))
+    return [_number(tok) for tok in ts.until(";", "number or ';'")]
 
 
 # -- serializer ---------------------------------------------------------------
@@ -358,17 +332,9 @@ def serialize_bif(net: BayesNet) -> str:
             continue
         head = ", ".join(par)
         lines = [f"probability ( {v} | {head} ) {{"]
-        cards = [net.card(p) for p in par]
-        for idx in range(cpt.shape[0]):
-            rem = idx
-            codes = []
-            for c in reversed(cards):
-                codes.append(rem % c)
-                rem //= c
-            codes.reverse()
-            cfg = ", ".join(net.labels[p][c] for p, c in zip(par, codes))
-            vals = ", ".join(_fmt(x) for x in cpt[idx])
-            lines.append(f"  ( {cfg} ) {vals};")
+        # product() steps the last parent fastest: the CPT row order
+        for cfg, row in zip(itertools.product(*(net.labels[p] for p in par)), cpt):
+            lines.append(f"  ( {', '.join(cfg)} ) {', '.join(_fmt(x) for x in row)};")
         lines.append("}\n")
         out.append("\n".join(lines))
     return "\n".join(out)

@@ -48,7 +48,6 @@ class PcCache:
 
     def __init__(self) -> None:
         self.half: dict[int, tuple[list[int], dict[int, frozenset[int]]]] = {}
-        self.full: dict[int, tuple[frozenset[int], dict[int, frozenset[int]]]] = {}
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,6 @@ def find_pc(
     """
     if max_cond < 0:
         raise ValueError(f"max_cond must be >= 0, got {max_cond}")
-    if cache is not None and target in cache.full:
-        return cache.full[target]
     cand, sepsets = _half_pc(table, target, test, max_cond, cache)
     sepsets = dict(sepsets)
     pc = []
@@ -147,10 +144,7 @@ def find_pc(
             pc.append(v)
         else:
             sepsets[v] = back_seps.get(target, frozenset())
-    result = (frozenset(pc), sepsets)
-    if cache is not None:
-        cache.full[target] = result
-    return result
+    return frozenset(pc), sepsets
 
 
 def score_partition(

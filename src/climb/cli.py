@@ -16,7 +16,7 @@ from .bench import (
     run_partition_benchmark,
     run_zero_baseline,
 )
-from .bif import BifParseError, parse_bif
+from .bif import parse_bif
 from .blanket import PartitionCapError, climb as run_climb
 from .citests import make_test
 from .csvio import load_csv, write_csv
@@ -35,22 +35,8 @@ def _fail(message: str) -> NoReturn:
     sys.exit(FAILURE_EXIT)
 
 
-def _column(table, name: str) -> int:
-    try:
-        return table.index_of(name)
-    except KeyError as exc:
-        _fail(exc.args[0])
-
-
-def _tester(table, kind: str, **config):
-    try:
-        return make_test(table, kind, **config)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
 def _parse_names(table, raw: str) -> tuple[int, ...]:
-    return tuple(_column(table, name.strip()) for name in raw.split(",") if name.strip())
+    return tuple(table.index_of(name.strip()) for name in raw.split(",") if name.strip())
 
 
 def _csv_ints(raw: str) -> tuple[int, ...]:
@@ -61,7 +47,19 @@ def _csv_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(",") if x.strip())
 
 
-@click.group()
+class _Cli(click.Group):
+    """Every command refuses bad input the same way: one stderr line, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except KeyError as exc:
+            _fail(exc.args[0])
+        except (ValueError, PartitionCapError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Cli)
 def main() -> None:
     """Causal discovery on discrete data with stochastic complexity."""
 
@@ -77,12 +75,9 @@ def main() -> None:
 def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
     """Run one conditional-independence test and print the verdict."""
     table = load_csv(data_path)
-    tester = _tester(table, kind, alpha=alpha, cutoff=cutoff)
-    x, y, z = _column(table, x_name), _column(table, y_name), _parse_names(table, z_names)
-    try:
-        verdict = tester(x, y, z)
-    except ValueError as exc:
-        _fail(str(exc))
+    tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
+    x, y, z = table.index_of(x_name), table.index_of(y_name), _parse_names(table, z_names)
+    verdict = tester(x, y, z)
     _echo_json(
         {
             "test": kind,
@@ -107,11 +102,8 @@ def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
 def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
     """Discover the causal Markov blanket of one target column."""
     table = load_csv(data_path)
-    tester = _tester(table, kind, alpha=alpha, cutoff=cutoff)
-    try:
-        res = run_climb(table, _column(table, target), tester, max_cond, cap)
-    except (PartitionCapError, ValueError) as exc:
-        _fail(str(exc))
+    tester = make_test(table, kind, alpha=alpha, cutoff=cutoff)
+    res = run_climb(table, table.index_of(target), tester, max_cond, cap)
     _echo_json(
         {
             "target": target,
@@ -133,11 +125,8 @@ def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
 def pc(data_path, kind, alpha, max_cond, out_path) -> None:
     """Stable-PC skeleton plus collider and closure orientation."""
     table = load_csv(data_path)
-    tester = _tester(table, kind, alpha=alpha)
-    try:
-        skeleton, sepsets = pc_stable_skeleton(table, tester, max_cond)
-    except ValueError as exc:
-        _fail(str(exc))
+    tester = make_test(table, kind, alpha=alpha)
+    skeleton, sepsets = pc_stable_skeleton(table, tester, max_cond)
     cpdag = orient_cpdag(skeleton, sepsets)
     Path(out_path).write_text(json.dumps(cpdag.to_json_obj(), indent=2, sort_keys=True) + "\n")
     click.echo(
@@ -192,18 +181,11 @@ def bench() -> None:
 
 
 def _load_net(bif_path: str):
-    try:
-        return parse_bif(Path(bif_path).read_text())
-    except BifParseError as exc:
-        _fail(str(exc))
+    return parse_bif(Path(bif_path).read_text())
 
 
-def _finish(out_dir: str, runner, *args, **kwargs) -> None:
-    """Run one bench suite, write its files, and exit 2 on refused settings or failures."""
-    try:
-        result = runner(*args, **kwargs)
-    except ValueError as exc:
-        _fail(str(exc))
+def _finish(out_dir: str, result) -> None:
+    """Write one bench suite's files, and exit 2 on recorded failures."""
     jpath, cpath = result.write(out_dir)
     click.echo(f"wrote {jpath} and {cpath}")
     if result.failures:
@@ -220,10 +202,10 @@ def _finish(out_dir: str, runner, *args, **kwargs) -> None:
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cutoff", type=float, default=0.0)
 def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -> None:
-    _finish(
-        out_dir, run_dsep_benchmark, _csv_ints(sizes), _csv_floats(noises), replicates,
+    _finish(out_dir, run_dsep_benchmark(
+        _csv_ints(sizes), _csv_floats(noises), replicates,
         tuple(t.strip() for t in tests.split(",")), seed, alpha, cutoff,
-    )
+    ))
 
 
 @bench.command("mb")
@@ -234,8 +216,8 @@ def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -
 @click.option("--sizes", default="1000,5000")
 @click.option("--max-cond", type=int, default=3)
 def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    _finish(out_dir, run_mb_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates,
-            seed=seed, max_cond=max_cond)
+    _finish(out_dir, run_mb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates,
+                                      seed=seed, max_cond=max_cond))
 
 
 @bench.command("partition")
@@ -245,7 +227,7 @@ def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
 @click.option("--seed", type=int, default=0)
 @click.option("--sizes", default="1000,5000")
 def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
-    _finish(out_dir, run_partition_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates, seed=seed)
+    _finish(out_dir, run_partition_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates, seed=seed))
 
 
 @bench.command("cmb")
@@ -256,8 +238,8 @@ def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
 @click.option("--sizes", default="1000,5000")
 @click.option("--max-cond", type=int, default=3)
 def bench_cmb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    _finish(out_dir, run_cmb_benchmark, _load_net(bif_path), _csv_ints(sizes), replicates,
-            seed=seed, max_cond=max_cond)
+    _finish(out_dir, run_cmb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates,
+                                       seed=seed, max_cond=max_cond))
 
 
 @bench.command("discovery")
@@ -278,7 +260,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
         external = {net.name: graph for net in nets if set(net.nodes) == set(graph.nodes)}
         if not external:
             _fail("external partial DAG matches no supplied network")
-    _finish(out_dir, run_causal_discovery, nets, n, replicates, seed, max_cond, alpha, external)
+    _finish(out_dir, run_causal_discovery(nets, n, replicates, seed, max_cond, alpha, external))
 
 
 @bench.command("zero-baseline")
@@ -288,7 +270,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
 @click.option("-n", "n", type=int, default=1000)
 @click.option("--ky-grid", default="1,4,16,64,256,1024")
 def bench_zero_baseline(out_dir, replicates, seed, n, ky_grid) -> None:
-    _finish(out_dir, run_zero_baseline, _csv_ints(ky_grid), n, replicates, seed=seed)
+    _finish(out_dir, run_zero_baseline(_csv_ints(ky_grid), n, replicates, seed=seed))
 
 
 if __name__ == "__main__":

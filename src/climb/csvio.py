@@ -25,11 +25,7 @@ def domains_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".domains")
 
 
-def load_csv(
-    path: str | Path,
-    header: bool = True,
-    domains: Mapping[str, Sequence[str]] | None = None,
-) -> CategoricalTable:
+def load_csv(path: str | Path, header: bool = True) -> CategoricalTable:
     """Read a comma-separated file of string categories into coded columns."""
     path = Path(path)
     with open(path, newline="") as fh:
@@ -47,10 +43,8 @@ def load_csv(
         if len(row) != width:
             raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
 
-    if domains is None:
-        sidecar = domains_path(path)
-        if sidecar.exists():
-            domains = json.loads(sidecar.read_text())
+    sidecar = domains_path(path)
+    domains = json.loads(sidecar.read_text()) if sidecar.exists() else None
     columns = []
     cards = []
     for j, name in enumerate(names):

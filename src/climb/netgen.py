@@ -9,6 +9,8 @@ the small fixture nets and the randomized DAG cases in the test suite.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bif import BayesNet
@@ -139,9 +141,7 @@ def random_cpts(
     cpts: dict[str, np.ndarray] = {}
     for v in nodes:
         k = cards[v]
-        rows = 1
-        for p in parents[v]:
-            rows *= cards[p]
+        rows = math.prod(cards[p] for p in parents[v])
         peak = rng.integers(0, k, size=rows)
         if rows > 1 and k > 1:
             peak = _ensure_live_parents(peak, tuple(cards[p] for p in parents[v]), k)
@@ -216,9 +216,7 @@ def random_net(
     else:
         cpts = {}
         for v in names:
-            rows = 1
-            for p in parents[v]:
-                rows *= cards[p]
+            rows = math.prod(cards[p] for p in parents[v])
             cpt = rng.dirichlet(np.full(cards[v], concentration), size=rows)
             cpts[v] = cpt / cpt.sum(axis=1, keepdims=True)
     labels = {v: tuple(f"s{i}" for i in range(cards[v])) for v in names}

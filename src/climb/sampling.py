@@ -55,12 +55,7 @@ def forward_sample(net: BayesNet, spec: SampleSpec) -> CategoricalTable:
         cpt = net.cpts[v]
         cum = np.cumsum(cpt, axis=1)
         cum[:, -1] = 1.0
-        if net.parents[v]:
-            cfg = np.zeros(n, dtype=np.int64)
-            for p in net.parents[v]:
-                cfg = cfg * net.card(p) + codes[p]
-        else:
-            cfg = np.zeros(n, dtype=np.int64)
+        cfg = net.config_index(v, [codes[p] for p in net.parents[v]])
         u = rng.random(n)
         vals = (u[:, None] > cum[cfg]).sum(axis=1).astype(np.int64)
         if spec.noise > 0.0:

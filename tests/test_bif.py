@@ -1,10 +1,14 @@
 from pathlib import Path
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from climb.bif import BayesNet, BifParseError, exact_joint, parse_bif, serialize_bif
-from climb.netgen import alarm_network, blanket_demo_network
+from climb.bif import BayesNet, BifParseError, _tokenize, exact_joint, parse_bif, serialize_bif
+from climb.netgen import alarm_network, blanket_demo_network, random_net
 
 MINIMAL = """
 network tiny {
@@ -27,6 +31,51 @@ probability ( Q | P ) {
   ( hi ) 0.1, 0.2, 0.7;
 }
 """
+
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer the regex one must reproduce."""
+    punct = set("{}()[]|,;")
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == "/" and text[i : i + 2] == "//":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in punct:
+            yield ch, line, col
+            i += 1
+            col += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and not text[i].isspace() and text[i] not in punct and text[i : i + 2] != "//":
+                i += 1
+                col += 1
+            yield text[start:i], line, start_col
+
+
+_PIECES = list("{}()[]|,;") + [
+    "network", "variable", "probability", "table", "x1", "0.25", "1e-3", "a/b",
+    "/", "//", "\n", "\r\n", " ", "\t", "\x0b", "\x1c", "\xa0",
+]
+
+
+class TestTokenize:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+    @example("a\n\x0b\x1c\xa0b//c}\r\n\td/e/ ///\n;x//")
+    def test_matches_reference(self, text):
+        got = [(t.text, t.line, t.col) for t in _tokenize(text)]
+        assert got == list(_reference_tokenize(text))
 
 
 class TestParse:
@@ -102,6 +151,25 @@ probability ( B | A ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
         net = parse_bif(text)
         assert np.allclose(net.cpts["Q"], [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
 
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("variable P { type discrete [ 2 ] { lo, hi",
+             "unexpected end of input, expected category label or '}'", 1, 40),
+            (CHILD.split("probability ( Q")[0] + "probability ( Q | P,",
+             "unexpected end of input, expected parent name", 6, 20),
+            (CHILD.split("( lo )")[0] + "( lo, ", "unexpected end of input, expected parent value or ')'", 7, 7),
+            (CHILD.split("0.5, 0.25, 0.25;")[0] + "0.5, 0.25", "unexpected end of input, expected number or ';'", 7, 15),
+            (CHILD.replace("( lo )", "( lo, hi )"), "row for 'Q' lists more values than parents", 7, 9),
+        ],
+        ids=["categories", "parents", "row-values", "probabilities", "row-too-long"],
+    )
+    def test_item_list_errors_pinned(self, text, message, line, col):
+        with pytest.raises(BifParseError) as err:
+            parse_bif(text)
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_rows_normalized_within_tolerance(self):
         text = MINIMAL.replace("0.4, 0.6", "0.4000001, 0.6")
         net = parse_bif(text)
@@ -109,7 +177,12 @@ probability ( B | A ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("maker", [blanket_demo_network, alarm_network])
+    @pytest.mark.parametrize(
+        "maker",
+        # five parents, cardinalities 2-4: a CPT of 288 rows
+        [blanket_demo_network, alarm_network, functools.partial(random_net, 12, 0.4, 5, card_range=(2, 4))],
+        ids=["blanket_demo_network", "alarm_network", "random_net"],
+    )
     def test_serialize_parse_identity(self, maker):
         net = maker()
         again = parse_bif(serialize_bif(net))

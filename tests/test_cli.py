@@ -119,6 +119,36 @@ class TestOutOfRangeSettings:
         assert not (tmp_path / "never.json").exists()
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["citest", "--data", "{short}", "--x", "a", "--y", "b"], "{short}: row 3 has 1 fields, expected 2"),
+            (["pc", "--data", "{short}", "--out", "{out}"], "{short}: row 3 has 1 fields, expected 2"),
+            (["orient", "--data", "{demo}", "--pdag", "{pdag}", "--out", "{out}"], "unknown node in edge 'T'-'Q'"),
+            (["sample", "--bif", "{bif}", "-n", "-1", "--out", "{out}"], "sample count must be >= 0"),
+            (["sample", "--bif", "{bif}", "-n", "10", "--noise", "3", "--out", "{out}"],
+             "noise fraction must lie in [0, 1]"),
+            (["dsep-fixture", "-n", "10", "--noise", "2", "--out", "{out}"], "noise fraction must lie in [0, 1]"),
+            (["bench", "dsep", "--out-dir", "{out}", "--sizes", "100,x"], "invalid literal for int() with base 10: 'x'"),
+        ],
+        ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
+             "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes"],
+    )
+    def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
+        (tmp_path / "short.csv").write_text("a,b\n0,1\n1\n")
+        (tmp_path / "bad.json").write_text(
+            json.dumps({"nodes": ["T", "C1"], "edges": [{"a": "T", "b": "Q", "directed": True}]})
+        )
+        paths = {"short": tmp_path / "short.csv", "pdag": tmp_path / "bad.json", "out": tmp_path / "out",
+                 "demo": workdir / "demo.csv", "bif": workdir / "demo.bif"}
+        res = CliRunner().invoke(main, [a.format(**paths) for a in command])
+        assert res.exit_code == 2
+        assert res.output == message.format(**paths) + "\n"
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "short.csv"]
+
+
 class TestSampling:
     def test_sample_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
