@@ -18,7 +18,7 @@ from .blanket import (
     pcmb,
     score_partition,
 )
-from .citests import CiQuery, CiVerdict, cmi_test, empirical_cmi, g2_test, i_sc, make_test, sci
+from .citests import CiQuery, CiVerdict, empirical_cmi, g2_test, i_sc, make_test, sci
 from .csvio import load_csv, write_csv
 from .graph import (
     PDag,

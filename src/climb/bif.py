@@ -144,9 +144,12 @@ class _TokenStream:
 
 def _number(tok: _Token) -> float:
     try:
-        return float(tok.text)
+        value = float(tok.text)
     except ValueError:
         raise BifParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col) from None
+    if value < 0:
+        raise BifParseError(f"negative probability {tok.text}", tok.line, tok.col)
+    return value
 
 
 # -- parser ------------------------------------------------------------------
@@ -156,7 +159,7 @@ def parse_bif(text: str) -> BayesNet:
     """Parse the BIF subset into a structurally validated network."""
     ts = _TokenStream(text)
     name = "network"
-    order: list[str] = []
+    decl: dict[str, _Token] = {}  # variable name -> its name token, in declaration order
     labels: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
     cpts: dict[str, np.ndarray] = {}
@@ -171,7 +174,7 @@ def parse_bif(text: str) -> BayesNet:
                 inner = ts.next("'}'")
                 depth += {"{": 1, "}": -1}.get(inner.text, 0)
         elif tok.text == "variable":
-            _parse_variable(ts, order, labels)
+            _parse_variable(ts, decl, labels)
         elif tok.text == "probability":
             _parse_probability(ts, labels, parents, cpts)
         else:
@@ -181,16 +184,16 @@ def parse_bif(text: str) -> BayesNet:
                 tok.col,
             )
 
-    for v in order:
+    for v, tok in decl.items():
         if v not in cpts:
-            raise BifParseError(f"no probability block for variable {v!r}", 1, 1)
+            raise BifParseError(f"no probability block for variable {v!r}", tok.line, tok.col)
     try:
-        return BayesNet(name=name, nodes=tuple(order), labels=labels, parents=parents, cpts=cpts)
+        return BayesNet(name=name, nodes=tuple(decl), labels=labels, parents=parents, cpts=cpts)
     except ValueError as exc:
         raise BifParseError(str(exc), 1, 1) from exc
 
 
-def _parse_variable(ts: _TokenStream, order: list[str], labels: dict) -> None:
+def _parse_variable(ts: _TokenStream, decl: dict, labels: dict) -> None:
     name_tok = ts.next("variable name")
     v = name_tok.text
     if v in labels:
@@ -215,7 +218,7 @@ def _parse_variable(ts: _TokenStream, order: list[str], labels: dict) -> None:
         raise BifParseError(
             f"variable {v!r} declares {k} values but lists {len(cats)}", name_tok.line, name_tok.col
         )
-    order.append(v)
+    decl[v] = name_tok
     labels[v] = tuple(cats)
 
 
@@ -231,9 +234,14 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
     tok = ts.next("'|' or ')'")
     if tok.text == "|":
         for p_tok in ts.until(")", "parent name"):
-            if p_tok.text not in labels:
-                raise BifParseError(f"unknown variable {p_tok.text!r}", p_tok.line, p_tok.col)
-            par.append(p_tok.text)
+            p = p_tok.text
+            if p not in labels:
+                raise BifParseError(f"unknown variable {p!r}", p_tok.line, p_tok.col)
+            if p == child:
+                raise BifParseError(f"self-loop on {child!r}", p_tok.line, p_tok.col)
+            if p in par:
+                raise BifParseError(f"parent {p!r} listed twice for {child!r}", p_tok.line, p_tok.col)
+            par.append(p)
         if not par:
             raise BifParseError("empty parent list", open_tok.line, open_tok.col)
     elif tok.text != ")":

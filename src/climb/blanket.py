@@ -1,12 +1,13 @@
 """Directed (causal) Markov blanket discovery.
 
 ``find_pc`` recovers the parents-and-children set of a target with a
-grow-shrink search plus AND symmetry correction. ``score_partition`` prices a
-split of that set into parents and children by total code length, and
-``find_best_partition`` minimizes it exhaustively, scoring each subset of a
-depth-first walk from one count array over (subset grouping, new member,
-target). ``climb`` combines the two and then walks the children to pick up
-spouses, yielding the causal blanket.
+grow-shrink search plus AND symmetry correction, so every member's own set
+holds the target. ``score_partition`` prices a split of that set into parents
+and children by total code length, and ``find_best_partition`` minimizes it
+exhaustively, scoring each subset of a depth-first walk from one count array
+over (subset grouping, new member, target). ``climb`` combines the two and
+then walks the children to pick up spouses, yielding the causal blanket;
+symmetry is settled in ``find_pc``, so ``climb`` does not check it again.
 
 ``pcmb`` is the classical reference blanket algorithm (candidate set with
 repeated re-ranking, symmetry filter, spouse search over the whole
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
@@ -44,10 +44,12 @@ class PcCache:
     The searches are deterministic, so a blanket run that revisits a node
     (a child's own neighbourhood, or many targets over the same data) can
     reuse the earlier result instead of re-spending independence tests.
+    Results are keyed by ``(target, max_cond)``, so searches at different
+    ``max_cond`` may share one cache.
     """
 
     def __init__(self) -> None:
-        self.half: dict[int, tuple[list[int], dict[int, frozenset[int]]]] = {}
+        self.half: dict[tuple[int, int], tuple[list[int], dict[int, frozenset[int]]]] = {}
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class BlanketResult:
     children: frozenset[int]
     spouses: frozenset[int]
     tests_performed: int
-    sepsets: Mapping[int, frozenset[int]]
 
 
 class PartitionCapError(RuntimeError):
@@ -87,8 +88,9 @@ def _half_pc(
     cache: PcCache | None = None,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
     """One-sided candidate set: association screen, then subset shrink."""
-    if cache is not None and target in cache.half:
-        return cache.half[target]
+    key = (target, max_cond)
+    if cache is not None and key in cache.half:
+        return cache.half[key]
     sepsets: dict[int, frozenset[int]] = {}
     ranked = []
     others = [v for v in range(table.m) if v != target]
@@ -117,7 +119,7 @@ def _half_pc(
                 sepsets[v] = sep
                 changed = True
     if cache is not None:
-        cache.half[target] = (cpc, sepsets)
+        cache.half[key] = (cpc, sepsets)
     return cpc, sepsets
 
 
@@ -130,8 +132,10 @@ def find_pc(
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
     """Parents and children of ``target`` with AND symmetry correction.
 
-    Returns the adjacent variables and, for every screened non-member, a
-    conditioning set that separated it from the target.
+    A candidate stays only if the target is a candidate of its own search,
+    so ``target in find_pc(c)`` for every member ``c`` at the same test and
+    ``max_cond``. Returns the adjacent variables and, for every screened
+    non-member, a conditioning set that separated it from the target.
     """
     if max_cond < 0:
         raise ValueError(f"max_cond must be >= 0, got {max_cond}")
@@ -297,10 +301,11 @@ def climb(
     """Causal Markov blanket of ``target``: parents, children and spouses.
 
     Finds the parents-and-children set, splits it by minimum code length,
-    then searches for spouses only through the children: a child is dropped
-    if the target is absent from its own parents-and-children set (fast
-    symmetry correction), and a candidate spouse is kept when it stays
-    dependent on the target once the shared child joins its separating set.
+    then searches for spouses only through the children: a candidate spouse
+    is kept when it stays dependent on the target once the shared child
+    joins its separating set. The paper's fast symmetry correction (drop a
+    child whose own set lacks the target) never fires here, because
+    :func:`find_pc` already keeps only symmetric members.
 
     Passing a :class:`PcCache` lets runs over many targets of the same data
     reuse neighbourhood searches instead of repeating their tests.
@@ -311,14 +316,10 @@ def climb(
     start = test.count
     pc, sepsets = find_pc(table, target, test, max_cond, cache)
     part = find_best_partition(table, target, pc, cap, regrets)
-    pa = set(part.parents)
-    ch = set(part.children)
+    pa, ch = part.parents, part.children
     sp: set[int] = set()
-    for c in sorted(part.children, key=lambda i: table.names[i]):
+    for c in sorted(ch, key=lambda i: table.names[i]):
         pc_c, _ = find_pc(table, c, test, max_cond, cache)
-        if target not in pc_c:
-            ch.discard(c)
-            continue
         for y in sorted(pc_c, key=lambda i: table.names[i]):
             if y == target or y in pa or y in ch or y in sp:
                 continue
@@ -326,11 +327,10 @@ def climb(
             if not test(target, y, tuple(sorted(sep | {c}))).independent:
                 sp.add(y)
     result = BlanketResult(
-        parents=frozenset(pa),
-        children=frozenset(ch),
+        parents=pa,
+        children=ch,
         spouses=frozenset(sp),
         tests_performed=test.count - start,
-        sepsets=dict(sepsets),
     )
     _check_blanket(result, target)
     return result

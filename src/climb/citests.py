@@ -4,7 +4,8 @@ Three tests sit behind one verdict type: the stochastic-complexity test
 (``sci``), which needs no tuning parameter and declares independence exactly
 when its statistic is <= 0; the classical G^2 likelihood-ratio test with a
 significance level; and plug-in conditional mutual information against a
-fixed cutoff. Each statistic is read off one (z, x, y) contingency array
+fixed cutoff, a verdict only ``IndependenceTest(kind="cmi")`` gives
+(:func:`empirical_cmi` is the bare value). Each statistic is read off one (z, x, y) contingency array
 per query. :meth:`IndependenceTest.many` asks one (x, z) against many y and
 computes what depends only on (x, z) once; the single-query functions and
 ``IndependenceTest.__call__`` are batches of one. Verdicts are memoised per
@@ -30,7 +31,6 @@ __all__ = [
     "i_sc",
     "sci",
     "g2_test",
-    "cmi_test",
     "IndependenceTest",
     "make_test",
 ]
@@ -240,19 +240,19 @@ def empirical_cmi(q: CiQuery) -> float:
     return _Given(q.table, q.x, q.z).cmi(q.y)
 
 
-def i_sc(q: CiQuery, regrets: RegretTable | None = None) -> float:
+def i_sc(q: CiQuery) -> float:
     """Directional score: code length of x given z minus given z and y."""
-    return _Given(q.table, q.x, q.z, regrets).i_sc(q.y)
+    return _Given(q.table, q.x, q.z).i_sc(q.y)
 
 
-def sci(q: CiQuery, regrets: RegretTable | None = None) -> CiVerdict:
+def sci(q: CiQuery) -> CiVerdict:
     """Symmetric stochastic-complexity independence verdict.
 
     The statistic is the larger of the two directional scores; independence
     is declared exactly when it is <= 0. Both scores come from one
     contingency array.
     """
-    return _Given(q.table, q.x, q.z, regrets).sci(q.y)
+    return _Given(q.table, q.x, q.z).sci(q.y)
 
 
 def g2_test(q: CiQuery, alpha: float = 0.01, min_samples_per_dof: float = 10.0) -> CiVerdict:
@@ -264,14 +264,6 @@ def g2_test(q: CiQuery, alpha: float = 0.01, min_samples_per_dof: float = 10.0) 
     is returned without testing (set the factor to 0 to disable).
     """
     return _Given(q.table, q.x, q.z).g2(q.y, alpha, min_samples_per_dof)
-
-
-def cmi_test(q: CiQuery, cutoff: float = 0.0) -> CiVerdict:
-    """Plug-in conditional mutual information against a fixed cutoff."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    value = empirical_cmi(q)
-    return CiVerdict(statistic=value, independent=value <= cutoff)
 
 
 class IndependenceTest:

@@ -39,12 +39,28 @@ def _parse_names(table, raw: str) -> tuple[int, ...]:
     return tuple(table.index_of(name.strip()) for name in raw.split(",") if name.strip())
 
 
-def _csv_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(",") if x.strip())
+def _csv_list(kind: type, noun: str):
+    """Option callback: parse a comma-separated list of ``kind`` values."""
+
+    def parse(ctx: click.Context, param: click.Parameter, raw: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in raw.split(",") if x.strip())
+        except ValueError:
+            raise ValueError(f"{param.opts[0]}: expected comma-separated {noun}, got {raw!r}") from None
+
+    return parse
 
 
-def _csv_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+def _out_dir(ctx: click.Context, param: click.Parameter, raw: str) -> str:
+    """Option callback: refuse an output directory that a file blocks."""
+    blocker = next((p for p in (Path(raw), *Path(raw).parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ValueError(f"{param.opts[0]}: {blocker} is not a directory")
+    return raw
+
+
+_out_dir_option = click.option("--out-dir", required=True, type=click.Path(), callback=_out_dir)
+_ints, _floats = _csv_list(int, "integers"), _csv_list(float, "numbers")
 
 
 class _Cli(click.Group):
@@ -55,7 +71,7 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except KeyError as exc:
             _fail(exc.args[0])
-        except (ValueError, PartitionCapError) as exc:
+        except (ValueError, OSError, PartitionCapError) as exc:
             _fail(str(exc))
 
 
@@ -193,57 +209,55 @@ def _finish(out_dir: str, result) -> None:
 
 
 @bench.command("dsep")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--replicates", type=int, default=50)
 @click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="100,500,2500")
-@click.option("--noise", "noises", default="0,0.3,0.6")
+@click.option("--sizes", default="100,500,2500", callback=_ints)
+@click.option("--noise", "noises", default="0,0.3,0.6", callback=_floats)
 @click.option("--tests", default="sci,g2,cmi")
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cutoff", type=float, default=0.0)
 def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -> None:
-    _finish(out_dir, run_dsep_benchmark(
-        _csv_ints(sizes), _csv_floats(noises), replicates,
-        tuple(t.strip() for t in tests.split(",")), seed, alpha, cutoff,
-    ))
+    kinds = tuple(t.strip() for t in tests.split(","))
+    _finish(out_dir, run_dsep_benchmark(sizes, noises, replicates, kinds, seed, alpha, cutoff))
 
 
 @bench.command("mb")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
 @click.option("--replicates", type=int, default=5)
 @click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000")
+@click.option("--sizes", default="1000,5000", callback=_ints)
 @click.option("--max-cond", type=int, default=3)
 def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    _finish(out_dir, run_mb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates,
+    _finish(out_dir, run_mb_benchmark(_load_net(bif_path), sizes, replicates,
                                       seed=seed, max_cond=max_cond))
 
 
 @bench.command("partition")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
 @click.option("--replicates", type=int, default=5)
 @click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000")
+@click.option("--sizes", default="1000,5000", callback=_ints)
 def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
-    _finish(out_dir, run_partition_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates, seed=seed))
+    _finish(out_dir, run_partition_benchmark(_load_net(bif_path), sizes, replicates, seed=seed))
 
 
 @bench.command("cmb")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
 @click.option("--replicates", type=int, default=5)
 @click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000")
+@click.option("--sizes", default="1000,5000", callback=_ints)
 @click.option("--max-cond", type=int, default=3)
 def bench_cmb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
-    _finish(out_dir, run_cmb_benchmark(_load_net(bif_path), _csv_ints(sizes), replicates,
+    _finish(out_dir, run_cmb_benchmark(_load_net(bif_path), sizes, replicates,
                                        seed=seed, max_cond=max_cond))
 
 
 @bench.command("discovery")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--bif", "bif_paths", required=True, multiple=True, type=click.Path(exists=True))
 @click.option("--replicates", type=int, default=5)
 @click.option("--seed", type=int, default=0)
@@ -264,13 +278,13 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
 
 
 @bench.command("zero-baseline")
-@click.option("--out-dir", required=True, type=click.Path())
+@_out_dir_option
 @click.option("--replicates", type=int, default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("-n", "n", type=int, default=1000)
-@click.option("--ky-grid", default="1,4,16,64,256,1024")
+@click.option("--ky-grid", default="1,4,16,64,256,1024", callback=_ints)
 def bench_zero_baseline(out_dir, replicates, seed, n, ky_grid) -> None:
-    _finish(out_dir, run_zero_baseline(_csv_ints(ky_grid), n, replicates, seed=seed))
+    _finish(out_dir, run_zero_baseline(ky_grid, n, replicates, seed=seed))
 
 
 if __name__ == "__main__":

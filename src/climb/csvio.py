@@ -25,21 +25,17 @@ def domains_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".domains")
 
 
-def load_csv(path: str | Path, header: bool = True) -> CategoricalTable:
-    """Read a comma-separated file of string categories into coded columns."""
+def load_csv(path: str | Path) -> CategoricalTable:
+    """Read a comma-separated file (names in its first row) into coded columns."""
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    if header:
-        names = [c.strip() for c in rows[0]]
-        body = rows[1:]
-    else:
-        names = [f"c{i}" for i in range(len(rows[0]))]
-        body = rows
+    names = [c.strip() for c in rows[0]]
+    body = rows[1:]
     width = len(names)
-    for lineno, row in enumerate(body, start=2 if header else 1):
+    for lineno, row in enumerate(body, start=2):
         if len(row) != width:
             raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
 

@@ -118,18 +118,11 @@ class PDag:
 
     def is_acyclic(self) -> bool:
         """Whether the directed part has no cycle (undirected marks ignored)."""
-        state: dict[str, int] = {}
-
-        def visit(v: str) -> bool:
-            state[v] = 1
-            for w in self._out[v]:
-                s = state.get(w, 0)
-                if s == 1 or (s == 0 and not visit(w)):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(state.get(v, 0) == 2 or visit(v) for v in self.nodes)
+        try:
+            self.topological_order()
+        except ValueError:
+            return False
+        return True
 
     def topological_order(self) -> list[str]:
         order: list[str] = []

@@ -162,9 +162,9 @@ def _build(name: str, parents: dict[str, tuple[str, ...]], cards: dict[str, int]
     return BayesNet(name=name, nodes=nodes, labels=labels, parents=parents, cpts=cpts)
 
 
-def alarm_network(seed: int = 179) -> BayesNet:
-    """The 37-node monitoring network with seeded synthetic parameters."""
-    return _build("alarm", _ALARM_PARENTS, _ALARM_CARDS, seed, strength=(0.3, 0.9), spread=0.15)
+def alarm_network() -> BayesNet:
+    """The 37-node monitoring network with synthetic parameters from seed 179."""
+    return _build("alarm", _ALARM_PARENTS, _ALARM_CARDS, 179, strength=(0.3, 0.9), spread=0.15)
 
 
 def blanket_demo_network(seed: int = 3) -> BayesNet:
@@ -194,7 +194,6 @@ def random_net(
     edge_prob: float,
     seed: int,
     card_range: tuple[int, int] = (2, 2),
-    strength: tuple[float, float] = (0.3, 0.9),
     concentration: float | None = None,
 ) -> BayesNet:
     """Random DAG over an ordered node set with random tables.
@@ -212,7 +211,7 @@ def random_net(
         parents[v] = tuple(pa)
     cards = {v: int(rng.integers(card_range[0], card_range[1] + 1)) for v in names}
     if concentration is None:
-        cpts = random_cpts(names, parents, cards, rng, strength)
+        cpts = random_cpts(names, parents, cards, rng, (0.3, 0.9))
     else:
         cpts = {}
         for v in names:

@@ -187,12 +187,6 @@ def plugin_entropy(counts: np.ndarray) -> float:
     return float(math.log2(n) - (pos * np.log2(pos)).sum() / n)
 
 
-def _cells(x: np.ndarray, card: int, labels: np.ndarray, groups: int) -> np.ndarray:
-    """Contingency counts, one row per realized conditioning group."""
-    joint = labels * card + x
-    return np.bincount(joint, minlength=groups * card).reshape(groups, card)
-
-
 def count_bits(counts: np.ndarray) -> float:
     """Sum of c * log2(c) in bits over ``counts``, which must all be positive."""
     c = counts.astype(np.float64)
@@ -233,15 +227,16 @@ def conditional_sc(
         return 0.0
     labels = np.asarray(labels, dtype=np.int64)
     groups = int(labels.max()) + 1 if labels.size else 0
-    cells = _cells(x, card, labels, groups)
-    sizes = cells.sum(axis=1)
+    cells = np.bincount(labels * card + x, minlength=groups * card).reshape(groups, card)
+    # row sums: numpy's sum(axis=1) is slow over rows of a few values
+    sizes = cells @ np.ones(card, dtype=np.int64)
     # data bits, the sum over groups of h_v * H(x | group v), then the regrets
     return count_bits(sizes[sizes > 0]) - count_bits(cells[cells > 0]) + regret_sum(card, sizes, regrets)
 
 
-def delta(card: int, labels: np.ndarray, regrets: RegretTable | None = None) -> float:
+def delta(card: int, labels: np.ndarray) -> float:
     """Regret-only part of the conditional code length: sum of per-group log-regrets."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0 or card == 1:
         return 0.0
-    return regret_sum(card, np.bincount(labels), regrets)
+    return regret_sum(card, np.bincount(labels))

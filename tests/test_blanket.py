@@ -16,7 +16,7 @@ from climb.blanket import (
     score_partition,
 )
 from climb.citests import make_test
-from climb.netgen import blanket_demo_network
+from climb.netgen import blanket_demo_network, random_net
 from climb.nml import RegretTable, conditional_sc, stochastic_complexity
 from climb.sampling import SampleSpec, forward_sample
 from climb.table import CategoricalTable, group_labels
@@ -93,6 +93,28 @@ class TestFindPc:
         before = test.count
         find_pc(data, 1, test, cache=cache)
         assert test.count == before
+
+    def test_cache_keyed_by_max_cond(self):
+        data = forward_sample(blanket_demo_network(), SampleSpec(3000, 0.0, 47))
+        test = make_test(data, "sci")
+        cache = PcCache()
+        for t in range(data.m):
+            climb(data, t, test, max_cond=0, cache=cache)
+        for t in range(data.m):
+            got = climb(data, t, test, max_cond=3, cache=cache)
+            want = climb(data, t, test, max_cond=3)
+            assert (got.parents, got.children, got.spouses) == (want.parents, want.children, want.spouses)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7), st.integers(0, 2 ** 31), st.sampled_from(["sci", "g2"]), st.integers(0, 3),
+           st.booleans())
+    def test_members_hold_the_target(self, m, seed, kind, max_cond, cached):
+        # the AND rule climb relies on instead of re-checking each child
+        data = forward_sample(random_net(m, 0.5, seed, card_range=(2, 3)), SampleSpec(400, 0.0, seed))
+        test = make_test(data, kind)
+        cache = PcCache() if cached else None
+        pcs = [find_pc(data, t, test, max_cond, cache)[0] for t in range(m)]
+        assert all(t in pcs[c] for t in range(m) for c in pcs[t])
 
     @pytest.mark.parametrize("search", [find_pc, pcmb, climb])
     def test_negative_max_cond_rejected(self, search):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climb.citests import CiQuery, cmi_test, empirical_cmi, g2_test, i_sc, make_test, sci
+from climb.citests import CiQuery, empirical_cmi, g2_test, i_sc, make_test, sci
 from climb.nml import RegretTable, log_regret
 from climb.table import CategoricalTable
 
@@ -181,22 +181,22 @@ class TestG2:
 
 class TestCmiTest:
     def test_factorized_independent_at_zero_cutoff(self):
-        assert cmi_test(CiQuery(0, 1, (), balanced_pair(64)), cutoff=0.0).independent
+        assert make_test(balanced_pair(64), "cmi", cutoff=0.0)(0, 1).independent
 
     def test_identical_dependent(self):
         x = np.array([0, 1] * 32)
         t = table_from([("x", x, 2), ("y", x, 2)])
-        assert not cmi_test(CiQuery(0, 1, (), t), cutoff=0.0).independent
+        assert not make_test(t, "cmi", cutoff=0.0)(0, 1).independent
 
     def test_noisy_independent_pair_flagged_dependent(self):
         # the false-alarm failure mode of the zero cutoff on small samples
         rng = np.random.default_rng(20)
         t = table_from([("x", rng.integers(0, 4, 40), 4), ("y", rng.integers(0, 4, 40), 4)])
-        assert not cmi_test(CiQuery(0, 1, (), t), cutoff=0.0).independent
+        assert not make_test(t, "cmi", cutoff=0.0)(0, 1).independent
 
     def test_rejects_negative_cutoff(self):
         with pytest.raises(ValueError):
-            cmi_test(CiQuery(0, 1, (), balanced_pair(8)), cutoff=-1.0)
+            make_test(balanced_pair(8), "cmi", cutoff=-1.0)
 
 
 class TestRegretIsolation:
@@ -211,7 +211,7 @@ class TestRegretIsolation:
         x = np.array([0, 1] * 50)
         t = table_from([("x", x, 2), ("y", x, 2)])
         g2_test(CiQuery(0, 1, (), t))
-        cmi_test(CiQuery(0, 1, (), t))
+        make_test(t, "cmi")(0, 1)
 
 
 class TestMakeTest:

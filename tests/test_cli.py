@@ -119,6 +119,10 @@ class TestOutOfRangeSettings:
         assert not (tmp_path / "never.json").exists()
 
 
+# small, so that a refusal coming only after the suite ran would still be quick
+_SMALL_DSEP = ["--replicates", "1", "--sizes", "100", "--tests", "sci"]
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "command, message",
@@ -130,10 +134,18 @@ class TestBadInput:
             (["sample", "--bif", "{bif}", "-n", "10", "--noise", "3", "--out", "{out}"],
              "noise fraction must lie in [0, 1]"),
             (["dsep-fixture", "-n", "10", "--noise", "2", "--out", "{out}"], "noise fraction must lie in [0, 1]"),
-            (["bench", "dsep", "--out-dir", "{out}", "--sizes", "100,x"], "invalid literal for int() with base 10: 'x'"),
+            (["bench", "dsep", "--out-dir", "{out}", "--sizes", "100,x"],
+             "--sizes: expected comma-separated integers, got '100,x'"),
+            (["bench", "dsep", "--out-dir", "{out}", "--noise", "0,x"],
+             "--noise: expected comma-separated numbers, got '0,x'"),
+            (["sample", "--bif", "{bif}", "-n", "10", "--out", "{out}/x.csv"],
+             "[Errno 2] No such file or directory: '{out}/x.csv'"),
+            (["bench", "dsep", "--out-dir", "{short}", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
+            (["bench", "dsep", "--out-dir", "{short}/sub", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
-             "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes"],
+             "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
+             "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file"],
     )
     def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
         (tmp_path / "short.csv").write_text("a,b\n0,1\n1\n")

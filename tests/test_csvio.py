@@ -43,13 +43,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(p)
 
-    def test_headerless(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("x,y\nx,z\n")
-        t = load_csv(p, header=False)
-        assert t.names == ("c0", "c1")
-        assert t.n == 2
-
 
 class TestRoundTrip:
     def test_two_by_two(self, tmp_path):

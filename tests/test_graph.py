@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from climb.citests import make_test
 from climb.graph import (
@@ -28,6 +30,22 @@ def fixture_dag():
     g.add_directed("D", "T")
     g.add_directed("E", "T")
     return g
+
+
+def _reference_acyclic(g: PDag) -> bool:
+    """Colouring DFS over the directed edges: grey on entry, black on exit."""
+    state: dict[str, int] = {}
+
+    def visit(v: str) -> bool:
+        state[v] = 1
+        for w in g.children(v):
+            s = state.get(w, 0)
+            if s == 1 or (s == 0 and not visit(w)):
+                return False
+        state[v] = 2
+        return True
+
+    return all(state.get(v, 0) == 2 or visit(v) for v in g.nodes)
 
 
 class TestPDag:
@@ -56,6 +74,21 @@ class TestPDag:
         assert g.is_acyclic()
         g.add_directed("c", "a")
         assert not g.is_acyclic()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.lists(st.sampled_from([None, "fwd", "back", "und"]), max_size=28), st.booleans())
+    def test_is_acyclic_matches_reference(self, n, marks, forward_only):
+        # marks go to the node pairs in order; pairs past the list get no edge
+        g = PDag(tuple(f"v{i}" for i in range(n)))
+        for (a, b), mark in zip(combinations(g.nodes, 2), marks):
+            if mark == "back" and not forward_only:
+                g.add_directed(b, a)
+            elif mark == "und":
+                g.add_undirected(a, b)
+            elif mark is not None:
+                g.add_directed(a, b)
+        assert g.is_acyclic() == _reference_acyclic(g)
+        assert g.is_acyclic() or not forward_only
 
     def test_topological_order(self):
         g = fixture_dag()
