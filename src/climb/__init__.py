@@ -11,7 +11,6 @@ from .blanket import (
     BlanketResult,
     Partition,
     PartitionCapError,
-    PcCache,
     climb,
     find_best_partition,
     find_pc,

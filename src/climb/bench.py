@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bif import BayesNet
-from .blanket import PartitionCapError, PcCache, climb, find_best_partition, pcmb
+from .blanket import PartitionCapError, climb, find_best_partition, pcmb
 from .citests import CiQuery, IndependenceTest, empirical_cmi, i_sc, make_test, sci
 from .graph import (
     PDag,
@@ -225,15 +225,14 @@ def _climb_sweep(
 ) -> dict[str, dict[str, set[str]]]:
     """CLIMB roles of every node of ``net`` that stays within the partition cap.
 
-    All nodes share one :class:`PcCache`. A node refused by the cap gets a
-    failure row (``where`` plus node and error) and no entry in the result,
-    whose keys keep ``net.nodes`` order.
+    All nodes share ``tester``, which memoises each node's one-sided search.
+    A node refused by the cap gets a failure row (``where`` plus node and
+    error) and no entry in the result, whose keys keep ``net.nodes`` order.
     """
-    cache = PcCache()
     roles: dict[str, dict[str, set[str]]] = {}
     for v in net.nodes:
         try:
-            res = climb(data, data.index_of(v), tester, max_cond, cap, cache=cache)
+            res = climb(data, data.index_of(v), tester, max_cond, cap)
         except PartitionCapError as exc:
             failures.append({**where, "node": v, "error": str(exc)})
             continue

@@ -241,6 +241,9 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
                 raise BifParseError(f"self-loop on {child!r}", p_tok.line, p_tok.col)
             if p in par:
                 raise BifParseError(f"parent {p!r} listed twice for {child!r}", p_tok.line, p_tok.col)
+            if child in _ancestors(parents, p):
+                between = f" between {p!r} and {child!r}" if child in parents[p] else ""
+                raise BifParseError(f"parent structure has a cycle{between}", p_tok.line, p_tok.col)
             par.append(p)
         if not par:
             raise BifParseError("empty parent list", open_tok.line, open_tok.col)
@@ -314,6 +317,18 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
         )
     parents[child] = tuple(par)
     cpts[child] = cpt / sums[:, None]  # exact row normalization after the tolerance check
+
+
+def _ancestors(parents: dict, v: str) -> set[str]:
+    """The ancestors of ``v`` under the parent lists read so far."""
+    seen: set[str] = set()
+    stack = list(parents.get(v, ()))
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(parents.get(u, ()))
+    return seen
 
 
 def _read_values(ts: _TokenStream) -> list[float]:

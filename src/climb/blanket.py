@@ -29,27 +29,12 @@ __all__ = [
     "Partition",
     "BlanketResult",
     "PartitionCapError",
-    "PcCache",
     "find_pc",
     "score_partition",
     "find_best_partition",
     "climb",
     "pcmb",
 ]
-
-
-class PcCache:
-    """Memo for parents-and-children searches over one fixed (table, test) pair.
-
-    The searches are deterministic, so a blanket run that revisits a node
-    (a child's own neighbourhood, or many targets over the same data) can
-    reuse the earlier result instead of re-spending independence tests.
-    Results are keyed by ``(target, max_cond)``, so searches at different
-    ``max_cond`` may share one cache.
-    """
-
-    def __init__(self) -> None:
-        self.half: dict[tuple[int, int], tuple[list[int], dict[int, frozenset[int]]]] = {}
 
 
 @dataclass(frozen=True)
@@ -85,12 +70,14 @@ def _half_pc(
     target: int,
     test: IndependenceTest,
     max_cond: int,
-    cache: PcCache | None = None,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """One-sided candidate set: association screen, then subset shrink."""
+    """One-sided candidate set: association screen, then subset shrink.
+
+    Memoised on ``test.pc_searches``, so a repeat on the same test is free.
+    """
     key = (target, max_cond)
-    if cache is not None and key in cache.half:
-        return cache.half[key]
+    if key in test.pc_searches:
+        return test.pc_searches[key]
     sepsets: dict[int, frozenset[int]] = {}
     ranked = []
     others = [v for v in range(table.m) if v != target]
@@ -118,8 +105,7 @@ def _half_pc(
                 cpc.remove(v)
                 sepsets[v] = sep
                 changed = True
-    if cache is not None:
-        cache.half[key] = (cpc, sepsets)
+    test.pc_searches[key] = cpc, sepsets
     return cpc, sepsets
 
 
@@ -128,22 +114,22 @@ def find_pc(
     target: int,
     test: IndependenceTest,
     max_cond: int = 3,
-    cache: PcCache | None = None,
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
     """Parents and children of ``target`` with AND symmetry correction.
 
     A candidate stays only if the target is a candidate of its own search,
     so ``target in find_pc(c)`` for every member ``c`` at the same test and
     ``max_cond``. Returns the adjacent variables and, for every screened
-    non-member, a conditioning set that separated it from the target.
+    non-member, a conditioning set that separated it from the target. The
+    one-sided searches are memoised on ``test``: a repeat issues no query.
     """
     if max_cond < 0:
         raise ValueError(f"max_cond must be >= 0, got {max_cond}")
-    cand, sepsets = _half_pc(table, target, test, max_cond, cache)
+    cand, sepsets = _half_pc(table, target, test, max_cond)
     sepsets = dict(sepsets)
     pc = []
     for v in sorted(cand, key=lambda i: table.names[i]):
-        back, back_seps = _half_pc(table, v, test, max_cond, cache)
+        back, back_seps = _half_pc(table, v, test, max_cond)
         if target in back:
             pc.append(v)
         else:
@@ -296,7 +282,6 @@ def climb(
     max_cond: int = 3,
     cap: int = 20,
     regrets: RegretTable | None = None,
-    cache: PcCache | None = None,
 ) -> BlanketResult:
     """Causal Markov blanket of ``target``: parents, children and spouses.
 
@@ -307,19 +292,19 @@ def climb(
     child whose own set lacks the target) never fires here, because
     :func:`find_pc` already keeps only symmetric members.
 
-    Passing a :class:`PcCache` lets runs over many targets of the same data
-    reuse neighbourhood searches instead of repeating their tests.
+    ``tests_performed`` counts the queries this call issued; searches that
+    an earlier call on the same test memoised issue none.
     A negative ``cap`` is refused with ``ValueError`` before any test runs.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     start = test.count
-    pc, sepsets = find_pc(table, target, test, max_cond, cache)
+    pc, sepsets = find_pc(table, target, test, max_cond)
     part = find_best_partition(table, target, pc, cap, regrets)
     pa, ch = part.parents, part.children
     sp: set[int] = set()
     for c in sorted(ch, key=lambda i: table.names[i]):
-        pc_c, _ = find_pc(table, c, test, max_cond, cache)
+        pc_c, _ = find_pc(table, c, test, max_cond)
         for y in sorted(pc_c, key=lambda i: table.names[i]):
             if y == target or y in pa or y in ch or y in sp:
                 continue

@@ -277,6 +277,10 @@ class IndependenceTest:
     sets the order in which a statistic's terms are summed. The configuration
     is read-only, so a memoised verdict never outlives it.
 
+    ``pc_searches`` memoises :mod:`climb.blanket`'s one-sided searches by
+    ``(target, max_cond)``. A search is a function of the verdicts it reads,
+    so it shares their scope: one table, one kind, one configuration.
+
     The ``strength`` of a verdict orders dependence for search heuristics:
     larger means more dependent, whatever the underlying test reports.
     """
@@ -303,6 +307,7 @@ class IndependenceTest:
         self._min_samples_per_dof = min_samples_per_dof
         self._regrets = regrets
         self._memo: dict[tuple, CiVerdict] = {}
+        self.pc_searches: dict[tuple[int, int], tuple] = {}
         self.count = 0
         self.evaluated = 0
 

@@ -159,7 +159,7 @@ def pc(data_path, kind, alpha, max_cond, out_path) -> None:
 def orient(data_path, pdag_path, out_path) -> None:
     """Direct every undirected edge of a partial DAG by code-length costs."""
     table = load_csv(data_path)
-    pdag = PDag.from_json_obj(json.loads(Path(pdag_path).read_text()))
+    pdag = _load_pdag(pdag_path)
     full = climb_orient(pdag, table)
     Path(out_path).write_text(json.dumps(full.to_json_obj(), indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {out_path}: fully directed, acyclic={full.is_acyclic()}")
@@ -198,6 +198,14 @@ def bench() -> None:
 
 def _load_net(bif_path: str):
     return parse_bif(Path(bif_path).read_text())
+
+
+def _load_pdag(pdag_path: str) -> PDag:
+    try:
+        obj = json.loads(Path(pdag_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{pdag_path}: {exc}") from None
+    return PDag.from_json_obj(obj)
 
 
 def _finish(out_dir: str, result) -> None:
@@ -270,7 +278,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
     nets = [_load_net(p) for p in bif_paths]
     external = None
     if cpdag_path:
-        graph = PDag.from_json_obj(json.loads(Path(cpdag_path).read_text()))
+        graph = _load_pdag(cpdag_path)
         external = {net.name: graph for net in nets if set(net.nodes) == set(graph.nodes)}
         if not external:
             _fail("external partial DAG matches no supplied network")

@@ -40,7 +40,12 @@ def load_csv(path: str | Path) -> CategoricalTable:
             raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
 
     sidecar = domains_path(path)
-    domains = json.loads(sidecar.read_text()) if sidecar.exists() else None
+    domains = None
+    if sidecar.exists():
+        try:
+            domains = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
     columns = []
     cards = []
     for j, name in enumerate(names):

@@ -167,14 +167,40 @@ class PDag:
         return {"nodes": list(self.nodes), "edges": edges}
 
     @staticmethod
-    def from_json_obj(obj: Mapping) -> "PDag":
-        g = PDag(obj["nodes"])
-        for e in obj["edges"]:
-            if e["directed"]:
-                g.add_directed(e["a"], e["b"])
+    def from_json_obj(obj: object) -> "PDag":
+        """Inverse of :meth:`to_json_obj`; ``ValueError`` names the first bad field."""
+        _json_typed(obj, dict, "partial DAG")
+        nodes = _json_field(obj, "nodes", list, "partial DAG")
+        edges = _json_field(obj, "edges", list, "partial DAG")
+        g = PDag(_json_typed(v, str, f"partial DAG node {i}") for i, v in enumerate(nodes))
+        for i, e in enumerate(edges):
+            where = f"partial DAG edge {i}"
+            _json_typed(e, dict, where)
+            a, b = (_json_field(e, key, str, where) for key in ("a", "b"))
+            if _json_field(e, "directed", bool, where):
+                g.add_directed(a, b)
             else:
-                g.add_undirected(e["a"], e["b"])
+                g.add_undirected(a, b)
         return g
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def _json_typed(value, kind: type, where: str):
+    """``value``, or ``ValueError`` naming ``where`` unless it decoded as ``kind``."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
+def _json_field(obj: Mapping, key: str, kind: type, where: str):
+    """``obj[key]`` checked by :func:`_json_typed`; ``ValueError`` when absent."""
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return _json_typed(obj[key], kind, f"{where} field {key!r}")
 
 
 # -- skeleton search -------------------------------------------------------
@@ -323,10 +349,14 @@ def climb_orient(
     as the summed partition scores of the two endpoints against the current
     working graph, and the cheaper direction is kept. The directed part of
     the input is preserved verbatim; a cycle through three or more nodes in
-    the result is reported, not repaired.
+    the result is reported, not repaired. ``ValueError`` names the nodes of
+    ``pdag`` that are not columns of ``table``, before any scoring.
     """
-    work = pdag.copy()
     idx = {v: i for i, v in enumerate(table.names)}
+    missing = [v for v in pdag.nodes if v not in idx]
+    if missing:
+        raise ValueError(f"partial DAG nodes absent from the data: {', '.join(map(repr, missing))}")
+    work = pdag.copy()
 
     def node_cost(v: str, parents: set[str], children: set[str]) -> float:
         part = Partition(

@@ -40,6 +40,16 @@ probability ( A | B ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
 probability ( B | A ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
 """
 
+LOOP3 = """
+network loop3 { }
+variable A { type discrete [ 2 ] { x, y }; }
+variable B { type discrete [ 2 ] { x, y }; }
+variable C { type discrete [ 2 ] { x, y }; }
+probability ( A | C ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
+probability ( B | A ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
+probability ( C | B ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
+"""
+
 
 def _reference_tokenize(text):
     """The character-by-character tokenizer the regex one must reproduce."""
@@ -162,15 +172,17 @@ class TestParse:
             (CHILD.split("( lo )")[0] + "( lo, ", "unexpected end of input, expected parent value or ')'", 7, 7),
             (CHILD.split("0.5, 0.25, 0.25;")[0] + "0.5, 0.25", "unexpected end of input, expected number or ';'", 7, 15),
             (CHILD.replace("( lo )", "( lo, hi )"), "row for 'Q' lists more values than parents", 7, 9),
-            # structure errors point at the token at fault; a cycle has none
+            # structure errors point at the token at fault
             (CHILD.replace("( Q | P )", "( Q | P, P )"), "parent 'P' listed twice for 'Q'", 6, 22),
             (CHILD.replace("( Q | P )", "( Q | Q )"), "self-loop on 'Q'", 6, 19),
             (CHILD + "variable B { type discrete [ 2 ] { u, v }; }\n", "no probability block for variable 'B'", 10, 10),
             (CHILD.replace("0.5, 0.25, 0.25", "1.5, -0.25, -0.25"), "negative probability -0.25", 7, 15),
-            (LOOP, "parent structure has a cycle between 'A' and 'B'", 1, 1),
+            (LOOP, "parent structure has a cycle between 'A' and 'B'", 6, 19),
+            (LOOP3, "parent structure has a cycle", 8, 19),
         ],
         ids=["categories", "parents", "row-values", "probabilities", "row-too-long",
-             "duplicate-parent", "self-loop", "missing-block", "negative-value", "two-block-cycle"],
+             "duplicate-parent", "self-loop", "missing-block", "negative-value", "two-block-cycle",
+             "three-block-cycle"],
     )
     def test_item_list_errors_pinned(self, text, message, line, col):
         with pytest.raises(BifParseError) as err:

@@ -8,7 +8,6 @@ from climb.blanket import (
     Partition,
     _refined_term,
     PartitionCapError,
-    PcCache,
     climb,
     find_best_partition,
     find_pc,
@@ -16,7 +15,7 @@ from climb.blanket import (
     score_partition,
 )
 from climb.citests import make_test
-from climb.netgen import blanket_demo_network, random_net
+from climb.netgen import alarm_network, blanket_demo_network, random_net
 from climb.nml import RegretTable, conditional_sc, stochastic_complexity
 from climb.sampling import SampleSpec, forward_sample
 from climb.table import CategoricalTable, group_labels
@@ -61,6 +60,10 @@ def vstructure_net():
     )
 
 
+def _roles(res):
+    return res.parents, res.children, res.spouses
+
+
 class TestFindPc:
     def test_chain_neighbourhood(self):
         data = forward_sample(chain_net(), SampleSpec(10000, 0.0, 21))
@@ -88,32 +91,39 @@ class TestFindPc:
     def test_cache_reuses_results(self):
         data = forward_sample(chain_net(), SampleSpec(4000, 0.0, 23))
         test = make_test(data, "sci")
-        cache = PcCache()
-        find_pc(data, 1, test, cache=cache)
+        find_pc(data, 1, test)
         before = test.count
-        find_pc(data, 1, test, cache=cache)
+        find_pc(data, 1, test)
         assert test.count == before
 
     def test_cache_keyed_by_max_cond(self):
         data = forward_sample(blanket_demo_network(), SampleSpec(3000, 0.0, 47))
         test = make_test(data, "sci")
-        cache = PcCache()
         for t in range(data.m):
-            climb(data, t, test, max_cond=0, cache=cache)
+            climb(data, t, test, max_cond=0)
         for t in range(data.m):
-            got = climb(data, t, test, max_cond=3, cache=cache)
-            want = climb(data, t, test, max_cond=3)
-            assert (got.parents, got.children, got.spouses) == (want.parents, want.children, want.spouses)
+            got = climb(data, t, test, max_cond=3)
+            want = climb(data, t, make_test(data, "sci"), max_cond=3)
+            assert _roles(got) == _roles(want)
+
+    def test_searches_stay_with_their_test(self):
+        # an SCI sweep first must not change what a G2 test finds afterwards;
+        # the fresh G2 blankets come from an equal table of their own
+        spec = SampleSpec(1000, 0.0, 3)
+        data, fresh = forward_sample(alarm_network(), spec), forward_sample(alarm_network(), spec)
+        want = [_roles(climb(fresh, t, make_test(fresh, "g2"))) for t in range(fresh.m)]
+        sci_test, g2_test = make_test(data, "sci"), make_test(data, "g2")
+        for t in range(data.m):
+            climb(data, t, sci_test)
+        assert [_roles(climb(data, t, g2_test)) for t in range(data.m)] == want
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(3, 7), st.integers(0, 2 ** 31), st.sampled_from(["sci", "g2"]), st.integers(0, 3),
-           st.booleans())
-    def test_members_hold_the_target(self, m, seed, kind, max_cond, cached):
+    @given(st.integers(3, 7), st.integers(0, 2 ** 31), st.sampled_from(["sci", "g2"]), st.integers(0, 3))
+    def test_members_hold_the_target(self, m, seed, kind, max_cond):
         # the AND rule climb relies on instead of re-checking each child
         data = forward_sample(random_net(m, 0.5, seed, card_range=(2, 3)), SampleSpec(400, 0.0, seed))
         test = make_test(data, kind)
-        cache = PcCache() if cached else None
-        pcs = [find_pc(data, t, test, max_cond, cache)[0] for t in range(m)]
+        pcs = [find_pc(data, t, test, max_cond)[0] for t in range(m)]
         assert all(t in pcs[c] for t in range(m) for c in pcs[t])
 
     @pytest.mark.parametrize("search", [find_pc, pcmb, climb])

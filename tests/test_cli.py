@@ -142,23 +142,50 @@ class TestBadInput:
              "[Errno 2] No such file or directory: '{out}/x.csv'"),
             (["bench", "dsep", "--out-dir", "{short}", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
             (["bench", "dsep", "--out-dir", "{short}/sub", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
+            (["orient", "--data", "{demo}", "--pdag", "{array}", "--out", "{out}"],
+             "partial DAG must be a JSON object, got array"),
+            (["orient", "--data", "{demo}", "--pdag", "{no_nodes}", "--out", "{out}"],
+             "partial DAG has no 'nodes' field"),
+            (["orient", "--data", "{demo}", "--pdag", "{no_directed}", "--out", "{out}"],
+             "partial DAG edge 0 has no 'directed' field"),
+            (["orient", "--data", "{demo}", "--pdag", "{zz}", "--out", "{out}"],
+             "partial DAG nodes absent from the data: 'ZZ'"),
+            (["orient", "--data", "{demo}", "--pdag", "{not_json}", "--out", "{out}"],
+             "{not_json}: Expecting value: line 1 column 1 (char 0)"),
+            (["bench", "discovery", "--out-dir", "{out}", "--bif", "{bif}", "--cpdag", "{array}"],
+             "partial DAG must be a JSON object, got array"),
+            (["citest", "--data", "{sided}", "--x", "a", "--y", "b"],
+             "{sidecar}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
              "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
-             "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file"],
+             "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",
+             "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
+             "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json"],
     )
     def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
-        (tmp_path / "short.csv").write_text("a,b\n0,1\n1\n")
-        (tmp_path / "bad.json").write_text(
-            json.dumps({"nodes": ["T", "C1"], "edges": [{"a": "T", "b": "Q", "directed": True}]})
-        )
+        inputs = {
+            "short.csv": "a,b\n0,1\n1\n",
+            "bad.json": json.dumps({"nodes": ["T", "C1"], "edges": [{"a": "T", "b": "Q", "directed": True}]}),
+            "array.json": json.dumps([["T", "C1"]]),
+            "no_nodes.json": json.dumps({"edges": []}),
+            "no_directed.json": json.dumps({"nodes": ["T", "C1"], "edges": [{"a": "T", "b": "C1"}]}),
+            "zz.json": json.dumps({"nodes": ["T", "ZZ"], "edges": [{"a": "T", "b": "ZZ", "directed": False}]}),
+            "not_json.json": "",
+            "sided.csv": "a,b\n0,1\n",
+            "sided.domains": "{\n",
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
         paths = {"short": tmp_path / "short.csv", "pdag": tmp_path / "bad.json", "out": tmp_path / "out",
-                 "demo": workdir / "demo.csv", "bif": workdir / "demo.bif"}
+                 "demo": workdir / "demo.csv", "bif": workdir / "demo.bif",
+                 "sided": tmp_path / "sided.csv", "sidecar": tmp_path / "sided.domains",
+                 **{k: tmp_path / f"{k}.json" for k in ("array", "no_nodes", "no_directed", "zz", "not_json")}}
         res = CliRunner().invoke(main, [a.format(**paths) for a in command])
         assert res.exit_code == 2
         assert res.output == message.format(**paths) + "\n"
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "short.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 class TestSampling:

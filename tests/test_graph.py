@@ -112,6 +112,25 @@ class TestPDag:
         assert {"a": "a", "b": "b", "directed": True} in obj["edges"]
         assert {"a": "b", "b": "c", "directed": False} in obj["edges"]
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"nodes": {"a": 1}, "edges": []}, "partial DAG field 'nodes' must be a JSON array, got object"),
+            ({"nodes": ["a", 2], "edges": []}, "partial DAG node 1 must be a JSON string, got number"),
+            ({"nodes": ["a", "b"]}, "partial DAG has no 'edges' field"),
+            ({"nodes": ["a", "b"], "edges": [["a", "b"]]}, "partial DAG edge 0 must be a JSON object, got array"),
+            ({"nodes": ["a", "b"], "edges": [{"a": "a", "b": None, "directed": True}]},
+             "partial DAG edge 0 field 'b' must be a JSON string, got null"),
+            ({"nodes": ["a", "b"], "edges": [{"a": "a", "b": "b", "directed": 1}]},
+             "partial DAG edge 0 field 'directed' must be a JSON boolean, got number"),
+        ],
+        ids=["nodes-object", "node-number", "no-edges", "edge-array", "end-null", "directed-number"],
+    )
+    def test_json_ill_typed_field_named(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            PDag.from_json_obj(obj)
+        assert str(err.value) == message
+
 
 class TestDSeparation:
     def test_fixture_graph(self):
