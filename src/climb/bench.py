@@ -254,15 +254,25 @@ def run_mb_benchmark(
     cap: int = 20,
     alpha: float = 0.01,
 ) -> ExperimentResult:
-    """Undirected-blanket F1 per node plus total independence-test counts."""
+    """Undirected-blanket F1 per node plus total independence-test counts.
+
+    Methods of one test kind share one test object per replicate, so a
+    verdict one method computed is a memo hit for the next. A row's ``tests``
+    is the logical count its own method issued, which sharing leaves alone.
+    """
     dag = net.dag()
     truth = {v: set().union(*_truth_roles(dag, v).values()) for v in net.nodes}
     rows = []
     failures = []
     for n, rep, rep_seed in _streams(seed, replicates, sizes):
         data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+        testers: dict[str, IndependenceTest] = {}
         for method in methods:
-            tester = make_test(data, method.split("_")[-1], alpha=alpha)
+            kind = method.split("_")[-1]
+            if kind not in testers:
+                testers[kind] = make_test(data, kind, alpha=alpha)
+            tester = testers[kind]
+            start = tester.count
             if method.startswith("climb"):
                 roles = _climb_sweep(net, data, tester, max_cond, cap, failures,
                                      n=n, replicate=rep, method=method)
@@ -284,7 +294,7 @@ def run_mb_benchmark(
                     "f1": f1,
                     "precision": precision,
                     "recall": recall,
-                    "tests": tester.count,
+                    "tests": tester.count - start,
                     "failed_nodes": len(net.nodes) - len(blankets),
                 }
             )

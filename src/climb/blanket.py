@@ -1,13 +1,18 @@
 """Directed (causal) Markov blanket discovery.
 
 ``find_pc`` recovers the parents-and-children set of a target with a
-grow-shrink search plus AND symmetry correction, so every member's own set
-holds the target. ``score_partition`` prices a split of that set into parents
-and children by total code length, and ``find_best_partition`` minimizes it
-exhaustively, scoring each subset of a depth-first walk from one count array
-over (subset grouping, new member, target). ``climb`` combines the two and
-then walks the children to pick up spouses, yielding the causal blanket;
-symmetry is settled in ``find_pc``, so ``climb`` does not check it again.
+one-pass grow-shrink search in the style of HITON-PC (Aliferis et al., JMLR
+11, 2010) and MMPC (Tsamardinos, Brown & Aliferis, MLJ 65, 2006): candidates
+join strongest first, and each newcomer triggers a re-test of the earlier
+members against only the subsets that hold it, so no subset of up to
+``max_cond`` of the final set separates a member. AND symmetry correction
+follows, so every member's own set holds the target. ``score_partition``
+prices a split of that set into parents and children by total code length,
+and ``find_best_partition`` minimizes it exhaustively, scoring each subset of
+a depth-first walk from one count array over (subset grouping, new member,
+target). ``climb`` combines the two and then walks the children to pick up
+spouses, yielding the causal blanket; symmetry is settled in ``find_pc``, so
+``climb`` does not check it again.
 
 ``pcmb`` is the classical reference blanket algorithm (candidate set with
 repeated re-ranking, symmetry filter, spouse search over the whole
@@ -71,7 +76,17 @@ def _half_pc(
     test: IndependenceTest,
     max_cond: int,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """One-sided candidate set: association screen, then subset shrink.
+    """One-sided candidate set, grown and shrunk in one pass (HITON-PC/MMPC).
+
+    An association screen (one batch at z = ()) keeps the variables that are
+    marginally dependent on ``target`` and ranks them by strength, strongest
+    first, ties by name. In that order each newcomer is tested against the
+    subsets of size 1 to ``max_cond`` of the current set, smallest first; the
+    first that separates it becomes its sepset. Otherwise it joins, and each
+    earlier member is re-tested only against the subsets that hold the
+    newcomer, since every other subset was tried before; a separated member
+    leaves with its sepset. So no subset of up to ``max_cond`` of the final
+    set separates a member. A query's z lists members in joining order.
 
     Memoised on ``test.pc_searches``, so a repeat on the same test is free.
     """
@@ -87,24 +102,27 @@ def _half_pc(
         else:
             ranked.append((-test.strength(verdict), table.names[v], v))
     ranked.sort()
-    cpc = [v for _, _, v in ranked]
-    changed = True
-    while changed:
-        changed = False
-        for v in list(cpc):
-            others = [u for u in cpc if u != v]
-            sep = None
-            for size in range(1, min(max_cond, len(others)) + 1):
-                for zs in combinations(others, size):
-                    if test(target, v, zs).independent:
-                        sep = frozenset(zs)
-                        break
-                if sep is not None:
-                    break
+
+    def separator(v: int, pool: list[int], newcomer: tuple[int, ...]) -> frozenset[int] | None:
+        """First z separating v: a subset of ``pool``, then ``newcomer``; 1..max_cond long."""
+        for size in range(0 if newcomer else 1, max_cond - len(newcomer) + 1):
+            for zs in combinations(pool, size):
+                if test(target, v, zs + newcomer).independent:
+                    return frozenset(zs + newcomer)
+        return None
+
+    cpc: list[int] = []
+    for _, _, v in ranked:
+        sep = separator(v, cpc, ())
+        if sep is not None:
+            sepsets[v] = sep
+            continue
+        for u in list(cpc):
+            sep = separator(u, [w for w in cpc if w != u], (v,))
             if sep is not None:
-                cpc.remove(v)
-                sepsets[v] = sep
-                changed = True
+                cpc.remove(u)
+                sepsets[u] = sep
+        cpc.append(v)
     test.pc_searches[key] = cpc, sepsets
     return cpc, sepsets
 
@@ -116,6 +134,13 @@ def find_pc(
     max_cond: int = 3,
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
     """Parents and children of ``target`` with AND symmetry correction.
+
+    The candidates come from the one-sided search of ``_half_pc``: the
+    variables marginally dependent on the target join strongest first, a
+    newcomer is tested against the subsets of up to ``max_cond`` of the
+    current set, and after it joins the earlier members are re-tested only
+    against the subsets that hold it. No subset of up to ``max_cond`` of the
+    other candidates separates a candidate from the target.
 
     A candidate stays only if the target is a candidate of its own search,
     so ``target in find_pc(c)`` for every member ``c`` at the same test and

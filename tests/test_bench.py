@@ -14,7 +14,7 @@ from climb.bench import (
     run_zero_baseline,
 )
 from climb.graph import PDag
-from climb.netgen import blanket_demo_network
+from climb.netgen import blanket_demo_network, random_net
 
 
 class TestAggregation:
@@ -161,14 +161,18 @@ class TestWriting:
 
     @pytest.mark.parametrize("runner", ["mb", "partition"])
     def test_fully_capped_replicate_is_strict_json_null(self, tmp_path, runner):
-        # cap 0 refuses every node with a parent or child; in the mb run's
-        # replicate at n = 600, seed 7, that is every node
-        net = blanket_demo_network()
+        # cap 0 refuses every node whose found parents-and-children set is
+        # not empty; the mb run uses a net in which every node has a true
+        # neighbour, and at n = 600, seed 7 CLIMB finds one for every node
         if runner == "mb":
+            net = random_net(6, 0.5, seed=2)
+            dag = net.dag()
+            assert all(dag.parents(v) | dag.children(v) for v in net.nodes)
             result = run_mb_benchmark(net, sizes=(600,), replicates=1, seed=7, cap=0, methods=("climb_sci",))
             fields = ("f1", "precision", "recall")
             assert result.rows[0]["failed_nodes"] == len(net.nodes)
         else:
+            net = blanket_demo_network()
             result = run_partition_benchmark(net, sizes=(300,), replicates=1, seed=9, cap=0)
             fields = ("accuracy",)
         jpath, _ = result.write(tmp_path)

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from climb.bif import BayesNet
 from climb.blanket import (
     Partition,
+    _half_pc,
     _refined_term,
     PartitionCapError,
     climb,
@@ -125,6 +128,26 @@ class TestFindPc:
         test = make_test(data, kind)
         pcs = [find_pc(data, t, test, max_cond)[0] for t in range(m)]
         assert all(t in pcs[c] for t in range(m) for c in pcs[t])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 8), st.integers(0, 2 ** 31), st.sampled_from(["sci", "g2"]), st.integers(0, 3))
+    def test_one_sided_search_invariant(self, m, seed, kind, max_cond):
+        # re-asked on a fresh test: no subset of up to max_cond of the other
+        # members separates a member (z in joining order, as the search asks
+        # it), and every non-member's sepset separates it in some order
+        data = forward_sample(random_net(m, 0.5, seed, card_range=(2, 3)), SampleSpec(400, 0.0, seed))
+        for t in range(m):
+            cpc, seps = _half_pc(data, t, make_test(data, kind), max_cond)
+            check = make_test(data, kind)
+            for v in cpc:
+                pool = [u for u in cpc if u != v]
+                for size in range(min(max_cond, len(pool)) + 1):
+                    for zs in combinations(pool, size):
+                        assert not check(t, v, zs).independent, (t, v, zs)
+            assert set(seps) == set(range(m)) - set(cpc) - {t}
+            for v, sep in seps.items():
+                assert len(sep) <= max_cond
+                assert any(check(t, v, zs).independent for zs in permutations(sorted(sep))), (t, v, sep)
 
     @pytest.mark.parametrize("search", [find_pc, pcmb, climb])
     def test_negative_max_cond_rejected(self, search):
