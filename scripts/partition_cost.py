@@ -2,12 +2,13 @@
 """Median cost of partition search per subset, by parents-and-children size.
 
 The data are n = 2000 rows of uniform columns with 2-4 values each (numpy
-seed 0): one target and 14 members, of which a search at |PC| = k uses the
-first k. Each row of output is the median over ``--repeats`` searches of
-``find_best_partition`` divided by its 2^k subsets, with the regret table
-warmed by one untimed search first. Run from the repo root:
+seed 0): one target and as many members as the largest size asked for, of
+which a search at |PC| = k uses the first k. Each row of output is the
+median over ``--repeats`` searches of ``find_best_partition`` divided by its
+2^k subsets, with the regret table warmed by one untimed search first. Run
+from the repo root:
 
-    PYTHONPATH=src python scripts/partition_cost.py
+    PYTHONPATH=src python scripts/partition_cost.py [--sizes 6,10,12,14]
 """
 import argparse
 import statistics
@@ -20,13 +21,12 @@ from climb.nml import RegretTable
 from climb.table import CategoricalTable
 
 N = 2000
-SIZES = (6, 10, 12, 14)
 
 
-def make_table() -> CategoricalTable:
+def make_table(members: int) -> CategoricalTable:
     rng = np.random.default_rng(0)
     cols = []
-    for i in range(1 + max(SIZES)):
+    for i in range(1 + members):
         card = int(rng.integers(2, 5))
         cols.append((f"v{i:02d}", rng.integers(0, card, N), card))
     return CategoricalTable.from_columns(cols)
@@ -36,13 +36,17 @@ def main() -> None:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
+    ap.add_argument("--sizes", default="6,10,12,14", help="comma-separated |PC| sizes")
     ap.add_argument("--repeats", default=5, type=int, help="timed searches per size")
     args = ap.parse_args()
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 0 or args.repeats < 1:
+        ap.error("--sizes must be >= 0 and --repeats >= 1")
 
-    table = make_table()
+    table = make_table(max(sizes))
     regrets = RegretTable()
     print(f"n = {N}, repeats = {args.repeats}")
-    for k in SIZES:
+    for k in sizes:
         pc = set(range(1, k + 1))
         find_best_partition(table, 0, pc, regrets=regrets)  # warms the regret table
         runs = []

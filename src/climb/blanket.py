@@ -23,11 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from .citests import CiVerdict, IndependenceTest
-from .nml import RegretTable, conditional_sc, count_bits, regret_sum, stochastic_complexity
+from .nml import (
+    RegretTable,
+    conditional_sc,
+    count_bits_table,
+    regret_sum,
+    row_sums,
+    stochastic_complexity,
+)
 from .table import CategoricalTable, _countable, group_labels, refine_labels
 
 __all__ = [
@@ -162,6 +170,17 @@ def find_pc(
     return frozenset(pc), sepsets
 
 
+def _check_members(table: CategoricalTable, target: int, members, what: str) -> None:
+    """Refuse a target outside [0, m), and members that hold it or an index outside [0, m)."""
+    if not 0 <= target < table.m:
+        raise ValueError(f"target index {target} outside [0, {table.m})")
+    for v in members:
+        if not 0 <= v < table.m:
+            raise ValueError(f"{what} index {v} outside [0, {table.m})")
+        if v == target:
+            raise ValueError(f"{what} holds the target {table.names[target]!r}")
+
+
 def score_partition(
     table: CategoricalTable,
     target: int,
@@ -174,9 +193,13 @@ def score_partition(
     unconditioned cost of each parent, plus each child given the target.
     Summation order is canonical, so the value is independent of how the
     member sets are listed.
+
+    Raises ``ValueError`` when the roles overlap, when either holds the
+    target, or when the target or a member is an index outside [0, m).
     """
     if partition.parents & partition.children:
         raise ValueError("parents and children overlap")
+    _check_members(table, target, partition.parents | partition.children, "partition")
     pa = sorted(partition.parents)
     ch = sorted(partition.children)
     labels_pa, _ = group_labels(table, pa)
@@ -190,44 +213,62 @@ def score_partition(
     return total
 
 
-def _refined_term(
+def _refined_terms(
     table: CategoricalTable,
-    labels: np.ndarray,
-    sizes: np.ndarray,
-    col: int,
     target: int,
+    members: list[int],
     regrets: RegretTable | None,
-    relabel: bool,
-) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """Target term over a row grouping refined by one more column.
+) -> Callable[[np.ndarray, np.ndarray, int, bool], tuple[float, np.ndarray | None, np.ndarray]]:
+    """The target-term kernel of one partition search over ``members``.
 
-    ``labels``/``sizes`` are a grouping as :func:`climb.table.group_labels`
-    returns it. Returns ``(term, labels, sizes)`` for the grouping refined by
-    ``col``; ``term`` equals ``conditional_sc`` of the target over it bit for
-    bit. Up to the :func:`climb.table._countable` cut on g * k_col * k_target,
-    one bincount over (group, col value, target value) gives both: its row
-    sums are the refined group sizes (zero for unrealized pairs), and its
-    positive cells are ``conditional_sc``'s cells in the same order. The
-    refined labels then cost one gather, made only when ``relabel`` asks
-    (``None`` otherwise). Above the cut, :func:`climb.table.refine_labels`
-    refines first and the target is counted against its labels.
+    Returns ``refined_term(labels, sizes, col, relabel) -> (term, labels,
+    sizes)``. ``labels``/``sizes`` are a grouping as
+    :func:`climb.table.group_labels` returns it, and the result is for the
+    grouping refined by member ``col``; ``term`` equals ``conditional_sc``
+    of the target over it bit for bit.
+
+    Built once per search: each member's low digits ``x_c · k_t + x_t`` and
+    the c·log2(c) table over 0..n (:func:`climb.nml.count_bits_table`). Up to
+    the :func:`climb.table._countable` cut on g · k_c · k_t, a subset then
+    makes two row passes for its cell code ``labels · (k_c · k_t) + low_c``
+    and one bincount over it. Its row sums, as rows of k_t cells, are the
+    refined group sizes (zero for unrealized pairs), and its positive cells
+    are ``conditional_sc``'s cells in the same order. The refined labels,
+    made only when ``relabel`` asks (``None`` otherwise), cost a division and
+    a gather: the realized rows, numbered in order, looked up by
+    ``code // k_t``. Above the cut, :func:`climb.table.refine_labels` refines
+    first and the target is counted against its labels.
     """
     x_t, k_t = table.columns[target], table.cards[target]
-    k_c = table.cards[col]
-    code = labels * k_c + table.columns[col]
-    rows = sizes.shape[0] * k_c
-    if _countable(rows * k_t, table.n):
-        cells = np.bincount(code * k_t + x_t, minlength=rows * k_t).reshape(rows, k_t)
-        # row sums: numpy's sum(axis=1) is slow over rows of a few values
-        counts = cells @ np.ones(k_t, dtype=np.int64)
-        present = counts > 0
-        sizes = counts[present]
-        labels = (np.cumsum(present, dtype=np.int64) - 1)[code] if relabel else None
-    else:
-        labels, sizes = refine_labels(table, labels, sizes, col)
-        cells = np.bincount(labels * k_t + x_t, minlength=sizes.shape[0] * k_t)
-    term = count_bits(sizes) - count_bits(cells[cells > 0]) + regret_sum(k_t, sizes, regrets)
-    return term, labels, sizes
+    low = {c: table.columns[c] * k_t + x_t for c in members}
+    xlog = count_bits_table(table.n)
+
+    def refined_term(labels, sizes, col, relabel):
+        k_c = table.cards[col]
+        rows = sizes.shape[0] * k_c
+        if _countable(rows * k_t, table.n):
+            code = labels * (k_c * k_t)
+            code += low[col]
+            cells = np.bincount(code, minlength=rows * k_t)
+            counts = row_sums(cells, k_t)
+            realized = np.flatnonzero(counts)
+            sizes = counts[realized]
+            labels = None
+            if relabel:
+                remap = np.empty(rows, dtype=np.int64)
+                remap[realized] = np.arange(realized.shape[0])
+                labels = remap[code // k_t]
+        else:
+            labels, sizes = refine_labels(table, labels, sizes, col)
+            cells = np.bincount(labels * k_t + x_t, minlength=sizes.shape[0] * k_t)
+        term = (
+            float(xlog[sizes].sum())
+            - float(xlog[cells[cells > 0]].sum())
+            + regret_sum(k_t, sizes, regrets)
+        )
+        return term, labels, sizes
+
+    return refined_term
 
 
 def find_best_partition(
@@ -244,24 +285,22 @@ def find_best_partition(
     on the subset. A subset's term comes from its parent subset's grouping
     and one more member column: one bincount over (group, member value,
     target value) yields the refined group sizes and the target's cells
-    together (see ``_refined_term``), so each subset costs one bincount over
-    the rows, plus one gather to relabel them where the walk goes deeper.
+    together (see ``_refined_terms``), so each subset costs two row passes
+    for its cell code and one bincount, plus a division and a gather to
+    relabel the rows where the walk goes deeper.
     Every term equals :func:`climb.nml.conditional_sc` over the subset's
     grouping bit for bit. Ties prefer fewer parents, then the
     lexicographically smallest parent name set, so the result does not
     depend on column order.
 
-    Raises ``ValueError`` for a negative ``cap``, or when ``pc_set`` holds
-    the target or an index outside [0, m), and :class:`PartitionCapError`
+    Raises ``ValueError`` for a negative ``cap``, for a ``target`` outside
+    [0, m), or when ``pc_set`` holds the target or an index outside [0, m),
+    and :class:`PartitionCapError`
     when ``pc_set`` has more than ``cap`` members.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    for v in pc_set:
-        if not 0 <= v < table.m:
-            raise ValueError(f"pc_set index {v} outside [0, {table.m})")
-        if v == target:
-            raise ValueError(f"pc_set holds the target {table.names[target]!r}")
+    _check_members(table, target, pc_set, "pc_set")
     members = sorted(pc_set, key=lambda i: table.names[i])
     if len(members) > cap:
         raise PartitionCapError(table.names[target], len(members), cap)
@@ -277,6 +316,7 @@ def find_best_partition(
         v: conditional_sc(table.columns[v], table.cards[v], labels_t, regrets) for v in members
     }
 
+    refined_term = _refined_terms(table, target, members, regrets)
     best_key = None
     best: list[int] = []
     last = len(members) - 1
@@ -291,7 +331,7 @@ def find_best_partition(
         if best_key is None or key < best_key:
             best_key, best = key, pa
         for i in range(nxt, len(members)):
-            step = _refined_term(table, labels_pa, sizes_pa, members[i], target, regrets, i < last)
+            step = refined_term(labels_pa, sizes_pa, members[i], i < last)
             visit(pa + [members[i]], *step, i + 1)
 
     labels, sizes = group_labels(table, [])

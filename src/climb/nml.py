@@ -38,6 +38,8 @@ __all__ = [
     "log_regret",
     "plugin_entropy",
     "count_bits",
+    "count_bits_table",
+    "row_sums",
     "regret_sum",
     "stochastic_complexity",
     "conditional_sc",
@@ -48,6 +50,8 @@ _BLOCK = 2048
 _TAIL_REL = 2.0 ** -70
 
 
+# factors are individually bounded; only a block's running products leave range
+@np.errstate(over="ignore", under="ignore")
 def _regret_bits(card: int, n: int) -> float:
     """log2 of the multinomial regret for domain size ``card`` and ``n`` samples."""
     if card <= 1 or n <= 0:
@@ -58,18 +62,19 @@ def _regret_bits(card: int, n: int) -> float:
     j = 1
     while j <= n:
         size = min(_BLOCK, n - j + 1)
+        js = np.arange(j, j + size, dtype=np.float64)
+        fac = (nf - js + 1.0) * (js + card - 2.0) / (nf * js)
+        run = np.cumprod(fac)
+        run *= term_m
+        # a block must stay inside double range end to end; a shorter block's
+        # run is a prefix of this one, so halving only re-checks and always
+        # terminates
         while True:
-            js = np.arange(j, j + size, dtype=np.float64)
-            fac = (nf - js + 1.0) * (js + card - 2.0) / (nf * js)
-            with np.errstate(over="ignore", under="ignore"):
-                run = np.cumprod(fac)
-                run *= term_m
             last = float(run[-1])
-            # a block must stay inside double range end to end; factors are
-            # individually bounded, so halving always terminates
             if last > 0.0 and math.isfinite(last) and float(run.max()) < 8.9e270:
                 break
             size //= 2
+            run = run[:size]
         bsum = float(run.sum())
         # total always dominates the previous summand, so the shift is <= 2
         total_m += bsum * 2.0 ** (term_e - total_e)
@@ -187,10 +192,41 @@ def plugin_entropy(counts: np.ndarray) -> float:
     return float(math.log2(n) - (pos * np.log2(pos)).sum() / n)
 
 
+def _xlog2x(c: np.ndarray) -> np.ndarray:
+    """c * log2(c) elementwise over positive float64 counts."""
+    return c * np.log2(c)
+
+
 def count_bits(counts: np.ndarray) -> float:
     """Sum of c * log2(c) in bits over ``counts``, which must all be positive."""
-    c = counts.astype(np.float64)
-    return float((c * np.log2(c)).sum())
+    return float(_xlog2x(counts.astype(np.float64)).sum())
+
+
+def count_bits_table(n: int) -> np.ndarray:
+    """c * log2(c) for c = 0..n, with 0 at c = 0.
+
+    For positive counts up to ``n``, ``float(table[counts].sum())`` gathers
+    the values ``count_bits(counts)`` computes and sums them in the same
+    order, so the two agree bit for bit.
+    """
+    return np.concatenate(([0.0], _xlog2x(np.arange(1, n + 1, dtype=np.float64))))
+
+
+def row_sums(cells: np.ndarray, width: int) -> np.ndarray:
+    """Exact row sums of a flat count array read as rows of ``width`` cells.
+
+    numpy's ``sum(axis=1)`` is slow over rows of a few values. Up to width 4,
+    width - 1 strided adds are fastest; wider rows take one ``einsum``, whose
+    cost does not grow with the width. Both sum integers, so they are exact.
+    """
+    if width > 4:
+        return np.einsum("ij->i", cells.reshape(-1, width))
+    if width == 1:
+        return cells
+    sums = cells[0::width] + cells[1::width]
+    for r in range(2, width):
+        sums += cells[r::width]
+    return sums
 
 
 def regret_sum(card: int, sizes: np.ndarray, regrets: RegretTable | None = None) -> float:
@@ -227,9 +263,8 @@ def conditional_sc(
         return 0.0
     labels = np.asarray(labels, dtype=np.int64)
     groups = int(labels.max()) + 1 if labels.size else 0
-    cells = np.bincount(labels * card + x, minlength=groups * card).reshape(groups, card)
-    # row sums: numpy's sum(axis=1) is slow over rows of a few values
-    sizes = cells @ np.ones(card, dtype=np.int64)
+    cells = np.bincount(labels * card + x, minlength=groups * card)
+    sizes = row_sums(cells, card)
     # data bits, the sum over groups of h_v * H(x | group v), then the regrets
     return count_bits(sizes[sizes > 0]) - count_bits(cells[cells > 0]) + regret_sum(card, sizes, regrets)
 

@@ -9,7 +9,7 @@ from climb.bif import BayesNet
 from climb.blanket import (
     Partition,
     _half_pc,
-    _refined_term,
+    _refined_terms,
     PartitionCapError,
     climb,
     find_best_partition,
@@ -199,6 +199,28 @@ class TestScorePartition:
         with pytest.raises(ValueError):
             score_partition(data, 0, Partition(frozenset({1}), frozenset({1})))
 
+    @pytest.mark.parametrize(
+        "parents, children, match",
+        [
+            ({0}, set(), "holds the target"),
+            ({2}, {0}, "holds the target"),
+            ({9}, set(), "index 9 outside"),
+            (set(), {-1}, "index -1 outside"),
+        ],
+    )
+    def test_rejects_target_and_out_of_range_members(self, parents, children, match):
+        data = forward_sample(chain_net(), SampleSpec(100, 0.0, 1))
+        with pytest.raises(ValueError, match=match):
+            score_partition(data, 0, Partition(frozenset(parents), frozenset(children)))
+
+    @pytest.mark.parametrize("target", [3, -1])
+    def test_rejects_out_of_range_target(self, target):
+        data = forward_sample(chain_net(), SampleSpec(100, 0.0, 1))
+        with pytest.raises(ValueError, match=f"target index {target} outside"):
+            score_partition(data, target, Partition(frozenset({1}), frozenset()))
+        with pytest.raises(ValueError, match=f"target index {target} outside"):
+            find_best_partition(data, target, frozenset({1}))
+
 
 class TestFindBestPartition:
     def test_empty_set(self):
@@ -360,19 +382,25 @@ class TestPartitionSearchProperty:
     @example("small", ["small", "dup", "dup", "wide", "dup"], 35, 5)  # duplicate columns
     @example("small", ["small", "wide", "dup"], 0, 6)  # no rows
     @example("wide", ["wide", "small"], 0, 7)
+    @example("one", ["wide", "sparse", "small"], 0, 10)  # card-1 target, no rows
+    @example("one", ["small", "wide", "small", "dup"], 120, 11)  # card-1 target, above-cut members
+    @example("wide", ["small", "sparse", "one", "dup"], 200, 12)  # card-256 target
+    @example("sparse", ["wide", "small", "small"], 40, 13)  # card-256 target and member
+    @example("small", ["sparse", "wide", "small", "small"], 300, 14)  # above-cut subsets deeper in
     def test_refined_term_matches_conditional_sc(self, target_kind, kinds, n, seed):
         """Every subset's fused term is ``conditional_sc`` over its grouping, bit for bit."""
         table = _random_table(target_kind, kinds, n, seed)
         x_t, k_t = table.columns[0], table.cards[0]
         regrets = RegretTable()
+        refined_term = _refined_terms(table, 0, list(range(1, table.m)), regrets)
 
         def walk(subset, labels, sizes, nxt):
             for i in range(nxt, table.m):
                 cols = [*subset, i]
                 want_labels, want_sizes = group_labels(table, cols)
                 want = conditional_sc(x_t, k_t, want_labels, regrets)
-                leaf, _, leaf_sizes = _refined_term(table, labels, sizes, i, 0, regrets, False)
-                term, got_labels, got_sizes = _refined_term(table, labels, sizes, i, 0, regrets, True)
+                leaf, _, leaf_sizes = refined_term(labels, sizes, i, False)
+                term, got_labels, got_sizes = refined_term(labels, sizes, i, True)
                 assert term.hex() == want.hex() == leaf.hex()
                 assert np.array_equal(got_labels, want_labels)
                 assert np.array_equal(got_sizes, want_sizes)
