@@ -30,10 +30,10 @@ import numpy as np
 from .citests import CiVerdict, IndependenceTest
 from .nml import (
     RegretTable,
+    _count_bits_table,
+    _row_sums,
     conditional_sc,
-    count_bits_table,
     regret_sum,
-    row_sums,
     stochastic_complexity,
 )
 from .table import CategoricalTable, _countable, group_labels, refine_labels
@@ -228,7 +228,7 @@ def _refined_terms(
     of the target over it bit for bit.
 
     Built once per search: each member's low digits ``x_c · k_t + x_t`` and
-    the c·log2(c) table over 0..n (:func:`climb.nml.count_bits_table`). Up to
+    the c·log2(c) table over 0..n (``climb.nml._count_bits_table``). Up to
     the :func:`climb.table._countable` cut on g · k_c · k_t, a subset then
     makes two row passes for its cell code ``labels · (k_c · k_t) + low_c``
     and one bincount over it. Its row sums, as rows of k_t cells, are the
@@ -241,7 +241,7 @@ def _refined_terms(
     """
     x_t, k_t = table.columns[target], table.cards[target]
     low = {c: table.columns[c] * k_t + x_t for c in members}
-    xlog = count_bits_table(table.n)
+    xlog = _count_bits_table(table.n)
 
     def refined_term(labels, sizes, col, relabel):
         k_c = table.cards[col]
@@ -250,7 +250,7 @@ def _refined_terms(
             code = labels * (k_c * k_t)
             code += low[col]
             cells = np.bincount(code, minlength=rows * k_t)
-            counts = row_sums(cells, k_t)
+            counts = _row_sums(cells, k_t)
             realized = np.flatnonzero(counts)
             sizes = counts[realized]
             labels = None

@@ -38,8 +38,6 @@ __all__ = [
     "log_regret",
     "plugin_entropy",
     "count_bits",
-    "count_bits_table",
-    "row_sums",
     "regret_sum",
     "stochastic_complexity",
     "conditional_sc",
@@ -202,7 +200,7 @@ def count_bits(counts: np.ndarray) -> float:
     return float(_xlog2x(counts.astype(np.float64)).sum())
 
 
-def count_bits_table(n: int) -> np.ndarray:
+def _count_bits_table(n: int) -> np.ndarray:
     """c * log2(c) for c = 0..n, with 0 at c = 0.
 
     For positive counts up to ``n``, ``float(table[counts].sum())`` gathers
@@ -212,17 +210,19 @@ def count_bits_table(n: int) -> np.ndarray:
     return np.concatenate(([0.0], _xlog2x(np.arange(1, n + 1, dtype=np.float64))))
 
 
-def row_sums(cells: np.ndarray, width: int) -> np.ndarray:
+def _row_sums(cells: np.ndarray, width: int) -> np.ndarray:
     """Exact row sums of a flat count array read as rows of ``width`` cells.
 
-    numpy's ``sum(axis=1)`` is slow over rows of a few values. Up to width 4,
-    width - 1 strided adds are fastest; wider rows take one ``einsum``, whose
-    cost does not grow with the width. Both sum integers, so they are exact.
+    numpy's ``sum(axis=1)`` is slow over rows of a few values. Widths 2 to 4
+    take width - 1 strided adds; any other width takes one ``einsum``, whose
+    cost does not grow with the width (the adds take about 200 µs at width
+    256). Over 8,064 cells the adds took 5.2/5.2/7.2 µs at widths 2/3/4
+    against 23.2/12.6/11.0 µs for the ``einsum`` (timeit, 2-core x86 VM), and
+    an ``einsum``-only build left ``dense-roles`` partition search 13 % slower
+    end to end. Both sum integers, so they are exact.
     """
-    if width > 4:
+    if not 2 <= width <= 4:
         return np.einsum("ij->i", cells.reshape(-1, width))
-    if width == 1:
-        return cells
     sums = cells[0::width] + cells[1::width]
     for r in range(2, width):
         sums += cells[r::width]
@@ -264,7 +264,7 @@ def conditional_sc(
     labels = np.asarray(labels, dtype=np.int64)
     groups = int(labels.max()) + 1 if labels.size else 0
     cells = np.bincount(labels * card + x, minlength=groups * card)
-    sizes = row_sums(cells, card)
+    sizes = _row_sums(cells, card)
     # data bits, the sum over groups of h_v * H(x | group v), then the regrets
     return count_bits(sizes[sizes > 0]) - count_bits(cells[cells > 0]) + regret_sum(card, sizes, regrets)
 
