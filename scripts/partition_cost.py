@@ -5,8 +5,11 @@ The data are n = 2000 rows of uniform columns with 2-4 values each (numpy
 seed 0): one target and as many members as the largest size asked for, of
 which a search at |PC| = k uses the first k. Each row of output is the
 median over ``--repeats`` searches of ``find_best_partition`` divided by its
-2^k subsets, with the regret table warmed by one untimed search first. Run
-from the repo root:
+2^k subsets, with the regret table warmed by one untimed search first. Each
+figure is also given in host-speed units: the search's seconds divided by
+the ``reference_s`` of ``perfbench/workloads.py`` (a fixed mix of interpreter
+work and small numpy calls, sampled before and after every search), times
+1000, which cancels most of a drifting host's speed. Run from the repo root:
 
     PYTHONPATH=src python scripts/partition_cost.py [--sizes 6,10,12,14]
 """
@@ -19,6 +22,7 @@ import numpy as np
 from climb.blanket import find_best_partition
 from climb.nml import RegretTable
 from climb.table import CategoricalTable
+from hostspeed import host_s
 
 N = 2000
 
@@ -49,12 +53,17 @@ def main() -> None:
     for k in sizes:
         pc = set(range(1, k + 1))
         find_best_partition(table, 0, pc, regrets=regrets)  # warms the regret table
-        runs = []
+        runs, refs = [], []
         for _ in range(args.repeats):
+            before = host_s()
             start = time.perf_counter()
             find_best_partition(table, 0, pc, regrets=regrets)
             runs.append(time.perf_counter() - start)
-        print(f"|PC| = {k:2d}: {statistics.median(runs) / 2 ** k * 1e6:7.1f} us per subset")
+            refs.append(runs[-1] / ((before + host_s()) / 2))
+        print(
+            f"|PC| = {k:2d}: {statistics.median(runs) / 2 ** k * 1e6:7.1f} us"
+            f" ({statistics.median(refs) / 2 ** k * 1e3:6.3f} 1e-3 ref) per subset"
+        )
 
 
 if __name__ == "__main__":

@@ -240,7 +240,8 @@ def pc_stable_skeleton(
         for pair, (a, b) in enumerate(edges):
             seen: set[frozenset[str]] = set()
             for base, other in ((a, b), (b, a)):
-                pool = [v for v in adj[base] if v != other]
+                # level 0 asks z = () once per pair, from its first side
+                pool = [v for v in adj[base] if v != other] if level else []
                 for zs in combinations(pool, level):
                     key = frozenset(zs)
                     if key in seen:

@@ -27,6 +27,7 @@ declared cardinality.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -46,6 +47,8 @@ __all__ = [
 
 _BLOCK = 2048
 _TAIL_REL = 2.0 ** -70
+# a block's running products must stay below this, so that its sum stays finite
+_RUN_CAP = 8.9e270
 
 
 # factors are individually bounded; only a block's running products leave range
@@ -69,7 +72,7 @@ def _regret_bits(card: int, n: int) -> float:
         # terminates
         while True:
             last = float(run[-1])
-            if last > 0.0 and math.isfinite(last) and float(run.max()) < 8.9e270:
+            if last > 0.0 and math.isfinite(last) and float(run.max()) < _RUN_CAP:
                 break
             size //= 2
             run = run[:size]
@@ -89,14 +92,60 @@ def _regret_bits(card: int, n: int) -> float:
     return math.log2(total_m) + total_e
 
 
+# ``_regret_rows`` works through this many sample counts per 2-D block
+_ROWS = 64
+# natural logs of the smallest positive double and of the range check's cap
+_LN_TINY = math.log(5e-324)
+_LN_CAP = math.log(_RUN_CAP)
+
+
+def _regret_rows(card: int, ns: np.ndarray) -> np.ndarray:
+    """``_regret_bits(card, n)`` for each n of ``ns``, distinct and ascending.
+
+    The n up to ``_BLOCK`` go through 2-D blocks of ``_ROWS`` rows. A block
+    shares ``js = 1..max n`` and one ``cumprod(axis=1)``, and each row reads
+    only its own prefix: for a row that passes the range check there, this
+    is the scalar recursion's single block with no halving, so its summands,
+    their sum and the result are the same bit for bit. A row that fails the
+    check, every n above ``_BLOCK``, and every n whose last running product
+    m(n, n) = (n + card - 2)! / ((card - 2)! n^n) lies outside double range
+    (from n = 749 at card 2), so that the check must fail, are computed by
+    :func:`_regret_bits` itself, which stays the definition.
+    """
+    out = np.zeros(ns.shape[0])  # n = 0 has no summand past m(0, 0) = 1
+    rows = []
+    base = math.lgamma(card - 1)
+    for i, n in enumerate(ns.tolist()):
+        if 0 < n <= _BLOCK and _LN_TINY < math.lgamma(n + card - 1) - base - n * math.log(n) < _LN_CAP:
+            rows.append((i, n))
+        elif n > 0:
+            out[i] = _regret_bits(card, n)
+    for lo in range(0, len(rows), _ROWS):
+        block = rows[lo:lo + _ROWS]
+        js = np.arange(1.0, block[-1][1] + 1.0)
+        nf = np.array([n for _, n in block], dtype=np.float64)[:, np.newaxis]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            run = np.cumprod((nf - js + 1.0) * (js + card - 2.0) / (nf * js), axis=1)
+        # past its own n a row's factors are 0 and below, so its maximum is its
+        # prefix's (or NaN once the prefix overflowed)
+        for r, ((i, n), top) in enumerate(zip(block, run.max(axis=1).tolist())):
+            if run[r, n - 1] > 0.0 and top < _RUN_CAP:
+                mant, ex = math.frexp(1.0 + float(np.add.reduce(run[r, :n])))
+                out[i] = math.log2(mant) + ex
+            else:
+                out[i] = _regret_bits(card, n)
+    return out
+
+
 class RegretTable:
     """Memoized log2-regret values, computed only for the (k, n) pairs asked for.
 
     Each cardinality keeps one float64 array indexed by n, with NaN marking
     the entries not computed yet. A lookup that meets a NaN computes just the
-    missing sample counts, each with the same scalar recursion, so a value
-    never depends on which other pairs were asked for before it. Values are
-    retained for the lifetime of the table. Computations are serialized and
+    missing sample counts, all of them in one pass that gives each the value
+    of the scalar recursion bit for bit, so a value never depends on which
+    other pairs were asked for before it or with it. Values are retained for
+    the lifetime of the table. Computations are serialized and
     idempotent, so concurrent readers always observe identical values.
     """
 
@@ -106,7 +155,14 @@ class RegretTable:
         self._lock = threading.Lock()
 
     def _fill(self, card: int, ns: np.ndarray) -> np.ndarray:
-        """Compute every entry of ``ns`` not yet known; returns the card's array."""
+        """Compute every entry of ``ns`` not yet known; returns the card's array.
+
+        The missing sample counts, distinct and ascending, go to
+        :func:`_regret_rows` together, which fills them row-wise in 2-D blocks
+        and hands a row that needs a second summation block or fails the range
+        check to :func:`_regret_bits`. ``filled_upto`` counts every entry
+        computed here.
+        """
         with self._lock:
             arr = self._values.get(card)
             top = int(ns.max())
@@ -117,8 +173,7 @@ class RegretTable:
                     grown[: arr.shape[0]] = arr
                 arr = grown
             missing = np.unique(ns[np.isnan(arr[ns])])
-            for n in missing.tolist():
-                arr[n] = _regret_bits(card, n)
+            arr[missing] = _regret_rows(card, missing)
             self._computed[card] = self._computed.get(card, 0) + missing.size
             self._values[card] = arr
             return arr
@@ -200,14 +255,17 @@ def count_bits(counts: np.ndarray) -> float:
     return float(_xlog2x(counts.astype(np.float64)).sum())
 
 
+@functools.lru_cache(maxsize=16)
 def _count_bits_table(n: int) -> np.ndarray:
-    """c * log2(c) for c = 0..n, with 0 at c = 0.
+    """c * log2(c) for c = 0..n, with 0 at c = 0; read-only and cached per n.
 
     For positive counts up to ``n``, ``float(table[counts].sum())`` gathers
     the values ``count_bits(counts)`` computes and sums them in the same
     order, so the two agree bit for bit.
     """
-    return np.concatenate(([0.0], _xlog2x(np.arange(1, n + 1, dtype=np.float64))))
+    table = np.concatenate(([0.0], _xlog2x(np.arange(1, n + 1, dtype=np.float64))))
+    table.flags.writeable = False
+    return table
 
 
 def _row_sums(cells: np.ndarray, width: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climb.citests import CiQuery, empirical_cmi, g2_test, i_sc, make_test, sci
+from climb.citests import CiQuery, _Given, _givens, empirical_cmi, g2_test, i_sc, make_test, sci
 from climb.nml import RegretTable, log_regret
 from climb.table import CategoricalTable
 
@@ -342,6 +342,61 @@ class TestMany:
         else:
             assert [_verdict_bits(v) for v in batched.many(x, ys, z)] == want
         assert (batched.count, batched.evaluated) == (single.count, single.evaluated)
+
+    def test_hand_built_batch_matches_single_queries(self):
+        # n = 60 puts the dense-counting cut at 4n + 64 = 304. z has 8 values
+        # of which only 0-4 occur, so with x's 3 values a 17-valued y takes
+        # (z, x, y) to 408 cells, above the cut, while 1, 2 and 4 stay under.
+        rng = np.random.default_rng(13)
+        n = 60
+        cols = [("x", rng.integers(0, 3, n), 3), ("z", rng.integers(0, 5, n), 8)]
+        cols += [(f"y{k}", rng.integers(0, k, n), k) for k in (1, 2, 4, 17)]
+        t = table_from(cols)
+        x, z, ys = 0, (1,), [2, 3, 4, 5]
+        assert _Given(t, x, z, ys).counts.shape == (4, 5, 3, 17)  # realized z-groups only
+        assert _Given(t, x, z, [4]).counts.shape == (1, 8, 3, 4)  # all 8 strata
+        # a batch goes past the cut only for one y-cardinality, so no y is padded there
+        shapes = [(places, given.counts.shape) for places, given in _givens(t, x, z, ys)]
+        assert shapes == [([0, 1, 2], (3, 8, 3, 4)), ([3], (1, 5, 3, 17))]
+        for kind in ("sci", "g2", "cmi"):
+            want = []
+            for y in ys:
+                single = make_test(t, kind, min_samples_per_dof=0.0, regrets=RegretTable())
+                want.append(_verdict_bits(single(x, y, z)))
+            batched = make_test(t, kind, min_samples_per_dof=0.0, regrets=RegretTable())
+            assert [_verdict_bits(v) for v in batched.many(x, ys, z)] == want, kind
+            # an invalid y mid-batch: the misses before it are counted, evaluated and memoised
+            tester = make_test(t, kind, min_samples_per_dof=0.0, regrets=RegretTable())
+            tester(x, 3, z)
+            with pytest.raises(ValueError, match="x and y must differ"):
+                tester.many(x, [2, 3, 5, x, 4], z)
+            assert (tester.count, tester.evaluated) == (5, 3)
+            assert [_verdict_bits(v) for v in tester.many(x, [2, 3, 5], z)] == [want[0], want[1], want[3]]
+            assert (tester.count, tester.evaluated) == (8, 3)
+
+    def test_wide_batches_are_not_padded(self):
+        # a 256-valued z with every value present puts (z, x, y) past the
+        # 4n + 64 = 2464 cut for every y of 3 or more values; each such y's
+        # array must then be only as wide as its own cardinality, not the
+        # widest y's, and the 2-valued ys stay under the cut together
+        rng = np.random.default_rng(21)
+        n = 600
+        cols = [("x", rng.integers(0, 4, n), 4), ("z", rng.permutation(np.arange(n) % 256), 256)]
+        cols += [(f"y{i}", rng.integers(0, 2, n), 2) for i in range(6)]
+        cols += [("wide", rng.integers(0, 256, n), 256), ("three", rng.integers(0, 3, n), 3)]
+        t = table_from(cols)
+        x, z, ys = 0, (1,), [2, 8, 3, 9, 4, 5, 6, 7]
+        givens = _givens(t, x, z, ys)
+        assert sorted(i for places, _ in givens for i in places) == list(range(len(ys)))
+        assert len(givens) == 3
+        for places, given in givens:
+            assert len({t.cards[ys[i]] for i in places}) == 1
+            widest = max(t.cards[ys[i]] for i in places)
+            assert given.counts.size <= len(places) * max(4 * n + 64, 256 * 4 * widest)
+        for kind in ("sci", "g2", "cmi"):
+            want = [_verdict_bits(make_test(t, kind, min_samples_per_dof=0.0)(x, y, z)) for y in ys]
+            batched = make_test(t, kind, min_samples_per_dof=0.0)
+            assert [_verdict_bits(v) for v in batched.many(x, ys, z)] == want, kind
 
     def test_repeats_and_swaps_hit_the_memo(self):
         rng = np.random.default_rng(5)

@@ -122,6 +122,25 @@ class TestLogRegret:
             want = [_regret_bits(card, int(n)).hex() for n in ns]
             assert [v.hex() for v in table.log_regret_many(card, ns).tolist()] == want
 
+    def test_row_wise_fill_matches_scalar(self):
+        # chunks of 1 to 150 cross the 64-row blocks, repeat sample counts and
+        # come in shuffled order, so a block mixes near and far n
+        rng = np.random.default_rng(9)
+        top = 6200
+        for card in (2, 3, 4, 5, 16, 1024):
+            table = RegretTable()
+            order = rng.permutation(np.arange(1, top + 1))
+            start = 0
+            while start < top:
+                chunk = order[start:start + int(rng.integers(1, 151))]
+                start += chunk.shape[0]
+                asked = np.concatenate([chunk, chunk[: chunk.shape[0] // 3]])
+                table.log_regret_many(card, rng.permutation(asked))
+                assert table.filled_upto(card) == start - 1
+            got = table.log_regret_many(card, np.arange(1, top + 1)).tolist()
+            want = [_regret_bits(card, n) for n in range(1, top + 1)]
+            assert [v.hex() for v in got] == [v.hex() for v in want], card
+
     def test_many_computes_distinct_missing_only(self):
         table = RegretTable()
         table.log_regret_many(4, np.array([70, 7, 70, 7]))
