@@ -60,6 +60,8 @@ def _check(m: int, x: int, y: int, z: tuple[int, ...]) -> None:
         raise ValueError("x and y must differ")
     if x in z or y in z:
         raise ValueError("x and y may not appear in the conditioning set")
+    if len(set(z)) != len(z):
+        raise ValueError("the conditioning set may not repeat a variable")
 
 
 @dataclass(frozen=True)

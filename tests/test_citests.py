@@ -284,6 +284,17 @@ class TestMakeTest:
             with pytest.raises(ValueError, match=message):
                 make_test(balanced_pair(8), kind, **config)
 
+    @pytest.mark.parametrize("kind", ["sci", "g2", "cmi"])
+    def test_repeated_conditioning_variable_rejected(self, kind):
+        # a repeated z column would multiply G²'s degrees of freedom again
+        rng = np.random.default_rng(3)
+        t = table_from([(c, rng.integers(0, 3, 60), 3) for c in "xyz"])
+        tester = make_test(t, kind)
+        for ask in (lambda: tester(0, 1, (2, 2)), lambda: tester.many(0, [1], (2, 2))):
+            with pytest.raises(ValueError, match="may not repeat"):
+                ask()
+        assert tester.evaluated == 0
+
     def test_strength_orderings(self):
         x = np.array([0, 1] * 50)
         t = table_from([("x", x, 2), ("y", x, 2), ("w", np.zeros(100, dtype=int), 2)])

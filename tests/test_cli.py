@@ -63,6 +63,13 @@ class TestCitest:
         assert res.exit_code == 2
         assert "x and y may not appear in the conditioning set" in res.output
 
+    def test_repeated_z_exit_code(self, workdir):
+        res = run_cli(
+            "citest", "--data", workdir / "demo.csv", "--x", "P1", "--y", "C1", "--z", "T,T", "--test", "g2",
+        )
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == ["the conditioning set may not repeat a variable"]
+
 
 class TestMb:
     def test_blanket_json(self, workdir):
