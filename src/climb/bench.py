@@ -137,13 +137,17 @@ def _mean_or_none(values: Sequence[float]) -> float | None:
 
 
 def _streams(seed: int, replicates: int, *axes: Iterable) -> Iterator[tuple]:
-    """Yield ``(*cell, replicate, stream_seed)`` over the grid of ``axes``.
+    """``(*cell, replicate, stream_seed)`` over the grid of ``axes``.
 
     Cells run in ``itertools.product`` order and every cell's replicates run
     before the next cell's; the i-th pair gets ``derive_seed(seed, i)``.
+    Fewer than one replicate is refused with ``ValueError`` at the call,
+    before any replicate runs.
     """
-    for i, (*cell, rep) in enumerate(product(*axes, range(replicates))):
-        yield (*cell, rep, derive_seed(seed, i))
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    grid = enumerate(product(*axes, range(replicates)))
+    return ((*cell, rep, derive_seed(seed, i)) for i, (*cell, rep) in grid)
 
 
 def _truth_roles(dag: PDag, v: str) -> dict[str, set[str]]:

@@ -30,13 +30,13 @@ import numpy as np
 from .citests import CiVerdict, IndependenceTest
 from .nml import (
     RegretTable,
+    _code_bits,
     _count_bits_table,
     _row_sums,
     conditional_sc,
-    regret_sum,
     stochastic_complexity,
 )
-from .table import CategoricalTable, _countable, group_labels, refine_labels
+from .table import CategoricalTable, _compact, _countable, group_labels, refine_labels
 
 __all__ = [
     "Partition",
@@ -224,8 +224,9 @@ def _refined_terms(
     Returns ``refined_term(labels, sizes, col, relabel) -> (term, labels,
     sizes)``. ``labels``/``sizes`` are a grouping as
     :func:`climb.table.group_labels` returns it, and the result is for the
-    grouping refined by member ``col``; ``term`` equals ``conditional_sc``
-    of the target over it bit for bit.
+    grouping refined by member ``col``; ``term`` is
+    :func:`climb.nml._code_bits` of the target over it, as in
+    ``conditional_sc``, so the two agree bit for bit.
 
     Built once per search: each member's low digits ``x_c · k_t + x_t`` and
     the c·log2(c) table over 0..n (``climb.nml._count_bits_table``). Up to
@@ -234,10 +235,10 @@ def _refined_terms(
     and one bincount over it. Its row sums, as rows of k_t cells, are the
     refined group sizes (zero for unrealized pairs), and its positive cells
     are ``conditional_sc``'s cells in the same order. The refined labels,
-    made only when ``relabel`` asks (``None`` otherwise), cost a division and
-    a gather: the realized rows, numbered in order, looked up by
-    ``code // k_t``. Above the cut, :func:`climb.table.refine_labels` refines
-    first and the target is counted against its labels.
+    made only when ``relabel`` asks (``None`` otherwise), are
+    :func:`climb.table._compact` of ``code // k_t`` and the row sums. Above
+    the cut, :func:`climb.table.refine_labels` refines first and the target
+    is counted against its labels.
     """
     x_t, k_t = table.columns[target], table.cards[target]
     low = {c: table.columns[c] * k_t + x_t for c in members}
@@ -251,22 +252,11 @@ def _refined_terms(
             code += low[col]
             cells = np.bincount(code, minlength=rows * k_t)
             counts = _row_sums(cells, k_t)
-            realized = np.flatnonzero(counts)
-            sizes = counts[realized]
-            labels = None
-            if relabel:
-                remap = np.empty(rows, dtype=np.int64)
-                remap[realized] = np.arange(realized.shape[0])
-                labels = remap[code // k_t]
+            labels, sizes = _compact(code // k_t, counts) if relabel else (None, counts[counts > 0])
         else:
             labels, sizes = refine_labels(table, labels, sizes, col)
             cells = np.bincount(labels * k_t + x_t, minlength=sizes.shape[0] * k_t)
-        term = (
-            float(xlog[sizes].sum())
-            - float(xlog[cells[cells > 0]].sum())
-            + regret_sum(k_t, sizes, regrets)
-        )
-        return term, labels, sizes
+        return _code_bits(xlog, cells, sizes, k_t, regrets), labels, sizes
 
     return refined_term
 

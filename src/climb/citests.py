@@ -64,6 +64,12 @@ def _check(m: int, x: int, y: int, z: tuple[int, ...]) -> None:
         raise ValueError("the conditioning set may not repeat a variable")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is a significance level in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class CiVerdict:
     statistic: float
@@ -89,12 +95,13 @@ class _Given:
     The z-group sizes and (z, x) cells are read off the first y's counts.
     SCI and CMI gather c·log₂c for every cell from
     :func:`climb.nml._count_bits_table` in one pass and sum each y's
-    positive cells, in the order :func:`climb.nml.count_bits` sums them. A
-    code length of x or y given z, (z, y) or (z, x), as
-    :func:`climb.nml.conditional_sc` computes it, is the groups' sum minus
-    the cells' sum plus the regrets over the group sizes, in that order. The
-    regrets come from one :meth:`climb.nml.RegretTable.log_regret_many` per
-    cardinality for the whole batch. G² computes its terms for the whole
+    positive cells on their own, in array order. A code length of x or y
+    given z, (z, y) or (z, x) is then the formula of
+    :func:`climb.nml._code_bits`, which :func:`climb.nml.conditional_sc`
+    ends in: the groups' sum minus the cells' sum plus the regrets over the
+    group sizes, in that order. The batch keeps its own copy of it, so that
+    the regrets come from one :meth:`climb.nml.RegretTable.log_regret_many`
+    per cardinality for the whole batch. G² computes its terms for the whole
     batch over the realized strata and sums each y's own ky-wide slice after
     a C-order copy, which is the array a single query sums.
 
@@ -353,8 +360,10 @@ def g2_test(q: CiQuery, alpha: float = 0.01, min_samples_per_dof: float = 10.0) 
     Degrees of freedom use the declared cardinalities with no zero-cell
     correction. When fewer than ``min_samples_per_dof`` samples per degree of
     freedom are available the test is considered unreliable and independence
-    is returned without testing (set the factor to 0 to disable).
+    is returned without testing (set the factor to 0 to disable). An
+    ``alpha`` outside (0, 1) is refused with ``ValueError``.
     """
+    _check_alpha(alpha)
     return _g2_verdicts(q.table, q.x, q.z, (q.y,), alpha, min_samples_per_dof)[0]
 
 
@@ -388,8 +397,7 @@ class IndependenceTest:
     ) -> None:
         if kind not in ("sci", "g2", "cmi"):
             raise ValueError(f"unknown test kind {kind!r}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         if not cutoff >= 0.0:
             raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         self._table = table

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .graph import _json_typed
 from .table import CategoricalTable
 
 __all__ = ["load_csv", "write_csv", "domains_path"]
@@ -25,8 +26,34 @@ def domains_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".domains")
 
 
+def _read_domains(sidecar: Path) -> dict[str, list[str]]:
+    """A sidecar's label list per column name.
+
+    ``ValueError`` naming the sidecar, and the column where one is at fault,
+    unless it is a JSON object whose every value is a list of distinct
+    strings.
+    """
+    try:
+        domains = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
+    _json_typed(domains, dict, f"{sidecar}: the sidecar")
+    for name, labels in domains.items():
+        where = f"{sidecar}: column {name!r}"
+        seen = set()
+        for i, label in enumerate(_json_typed(labels, list, f"{where} domain")):
+            if _json_typed(label, str, f"{where} label {i}") in seen:
+                raise ValueError(f"{where} repeats the label {label!r}")
+            seen.add(label)
+    return domains
+
+
 def load_csv(path: str | Path) -> CategoricalTable:
-    """Read a comma-separated file (names in its first row) into coded columns."""
+    """Read a comma-separated file (names in its first row) into coded columns.
+
+    A ``.domains`` sidecar that is not a JSON object mapping column names to
+    lists of distinct strings is refused with ``ValueError``.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -40,18 +67,13 @@ def load_csv(path: str | Path) -> CategoricalTable:
             raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
 
     sidecar = domains_path(path)
-    domains = None
-    if sidecar.exists():
-        try:
-            domains = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{sidecar}: {exc}") from None
+    domains = _read_domains(sidecar) if sidecar.exists() else {}
     columns = []
     cards = []
     for j, name in enumerate(names):
         raw = [row[j].strip() for row in body]
-        if domains is not None and name in domains:
-            order = list(domains[name])
+        if name in domains:
+            order = domains[name]
             mapping = {lab: i for i, lab in enumerate(order)}
             try:
                 codes = np.array([mapping[v] for v in raw], dtype=np.int64)

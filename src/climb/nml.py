@@ -20,10 +20,11 @@ whatever was asked before, so values are bit-identical to a full fill.
 ``RegretTable.filled_upto(k)`` is the number of entries computed for k,
 minus one.
 
-Stochastic complexity of a column is its plug-in-entropy code length plus the
-log-regret; the conditional variant sums per-group complexities over the
-realized groups of a conditioning partition, always with the column's full
-declared cardinality.
+Every code length here ends in one formula, ``_code_bits``: over the groups
+of a conditioning partition, the sum of h·log2(h) over the group sizes,
+minus the sum of c·log2(c) over the column's positive cells, plus the
+log-regret of each group, always with the column's full declared
+cardinality. The stochastic complexity of a column is its one-group case.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ __all__ = [
     "shared_regrets",
     "log_regret",
     "plugin_entropy",
-    "count_bits",
     "regret_sum",
     "stochastic_complexity",
     "conditional_sc",
@@ -180,18 +180,7 @@ class RegretTable:
 
     def log_regret(self, card: int, n: int) -> float:
         """log2-regret in bits for domain size ``card`` over ``n`` samples."""
-        if card < 1:
-            raise ValueError("cardinality must be >= 1")
-        if n < 0:
-            raise ValueError("sample count must be >= 0")
-        if card == 1 or n == 0:
-            return 0.0
-        arr = self._values.get(card)
-        if arr is not None and n < arr.shape[0]:
-            value = float(arr[n])
-            if not math.isnan(value):
-                return value
-        return float(self._fill(card, np.array([n], dtype=np.int64))[n])
+        return float(self.log_regret_many(card, np.array([n]))[0])
 
     def log_regret_many(self, card: int, ns: np.ndarray) -> np.ndarray:
         """Vectorized lookup for an array of sample counts."""
@@ -245,25 +234,15 @@ def plugin_entropy(counts: np.ndarray) -> float:
     return float(math.log2(n) - (pos * np.log2(pos)).sum() / n)
 
 
-def _xlog2x(c: np.ndarray) -> np.ndarray:
-    """c * log2(c) elementwise over positive float64 counts."""
-    return c * np.log2(c)
-
-
-def count_bits(counts: np.ndarray) -> float:
-    """Sum of c * log2(c) in bits over ``counts``, which must all be positive."""
-    return float(_xlog2x(counts.astype(np.float64)).sum())
-
-
 @functools.lru_cache(maxsize=16)
 def _count_bits_table(n: int) -> np.ndarray:
     """c * log2(c) for c = 0..n, with 0 at c = 0; read-only and cached per n.
 
-    For positive counts up to ``n``, ``float(table[counts].sum())`` gathers
-    the values ``count_bits(counts)`` computes and sums them in the same
-    order, so the two agree bit for bit.
+    Every c·log2(c) sum in the package is a gather from this table over
+    counts up to ``n``, summed in the order of the counts.
     """
-    table = np.concatenate(([0.0], _xlog2x(np.arange(1, n + 1, dtype=np.float64))))
+    c = np.arange(1, n + 1, dtype=np.float64)
+    table = np.concatenate(([0.0], c * np.log2(c)))
     table.flags.writeable = False
     return table
 
@@ -292,14 +271,30 @@ def regret_sum(card: int, sizes: np.ndarray, regrets: RegretTable | None = None)
     return float((regrets or _SHARED).log_regret_many(card, sizes).sum())
 
 
+def _code_bits(xlog: np.ndarray, cells: np.ndarray, sizes: np.ndarray, card: int,
+               regrets: RegretTable | None) -> float:
+    """Code length in bits of a column over groups, from its counts.
+
+    ``cells`` holds the column's value counts, group by group; ``sizes``
+    the group sizes; ``xlog`` the :func:`_count_bits_table` over 0..n. The data bits, the sum over groups of h·H(x | group), are
+    the groups' h·log2(h) minus the positive cells' c·log2(c), each summed
+    in array order; the regrets are those of ``card`` values per group.
+    """
+    data = float(xlog[sizes].sum()) - float(xlog[cells[cells > 0]].sum())
+    return data + regret_sum(card, sizes, regrets)
+
+
 def stochastic_complexity(x: np.ndarray, card: int, regrets: RegretTable | None = None) -> float:
-    """Code length in bits of a code vector under its declared domain size."""
+    """Code length in bits of a code vector under its declared domain size.
+
+    The one-group case of :func:`conditional_sc`, and equal to it bit for bit.
+    """
     x = np.asarray(x, dtype=np.int64)
     n = x.shape[0]
     if n == 0 or card == 1:
         return 0.0
     counts = np.bincount(x, minlength=card)
-    return n * plugin_entropy(counts) + log_regret(card, n, regrets)
+    return _code_bits(_count_bits_table(n), counts, np.array([n]), card, regrets)
 
 
 def conditional_sc(
@@ -322,9 +317,7 @@ def conditional_sc(
     labels = np.asarray(labels, dtype=np.int64)
     groups = int(labels.max()) + 1 if labels.size else 0
     cells = np.bincount(labels * card + x, minlength=groups * card)
-    sizes = _row_sums(cells, card)
-    # data bits, the sum over groups of h_v * H(x | group v), then the regrets
-    return count_bits(sizes[sizes > 0]) - count_bits(cells[cells > 0]) + regret_sum(card, sizes, regrets)
+    return _code_bits(_count_bits_table(n), cells, _row_sums(cells, card), card, regrets)
 
 
 def delta(card: int, labels: np.ndarray) -> float:

@@ -108,12 +108,17 @@ def _dense_code(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarra
     return code, radix
 
 
-def _compact(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense labels and sizes of the realized values of ``code`` in [0, radix)."""
-    counts = np.bincount(code, minlength=radix)
-    present = counts > 0
-    remap = np.cumsum(present, dtype=np.int64) - 1
-    return remap[code], counts[present]
+def _compact(code: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense labels and sizes of the realized values of ``code``.
+
+    ``counts`` is the bincount of ``code``, of any length past its maximum.
+    The realized values are numbered in order, and each row looks its label
+    up by its value.
+    """
+    realized = np.flatnonzero(counts)
+    remap = np.empty(counts.shape[0], dtype=np.int64)
+    remap[realized] = np.arange(realized.shape[0])
+    return remap[code], counts[realized]
 
 
 def refine_labels(
@@ -132,7 +137,7 @@ def refine_labels(
     code = labels * card + table.columns[col]
     radix = sizes.shape[0] * card
     if _countable(radix, table.n):
-        return _compact(code, radix)
+        return _compact(code, np.bincount(code, minlength=radix))
     _, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
     return inverse.astype(np.int64), counts.astype(np.int64)
 
@@ -148,7 +153,8 @@ def group_labels(table: CategoricalTable, cols: Sequence[int]) -> tuple[np.ndarr
     """
     dense = _dense_code(table, cols) if cols else None
     if dense is not None:
-        return _compact(*dense)
+        code, radix = dense
+        return _compact(code, np.bincount(code, minlength=radix))
     n = table.n
     labels, sizes = np.zeros(n, dtype=np.int64), np.array([n], dtype=np.int64)
     # a huge joint domain is refined one column at a time, over realized groups only

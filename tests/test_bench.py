@@ -150,6 +150,25 @@ class TestZeroBaseline:
             assert row["f_plugin"] >= 0.0
 
 
+class TestReplicates:
+    @pytest.mark.parametrize("replicates", [0, -2])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda r: run_dsep_benchmark((100,), (0.0,), r),
+            lambda r: run_mb_benchmark(blanket_demo_network(), (100,), r),
+            lambda r: run_partition_benchmark(blanket_demo_network(), (100,), r),
+            lambda r: run_cmb_benchmark(blanket_demo_network(), (100,), r),
+            lambda r: run_causal_discovery([blanket_demo_network()], 100, r),
+            lambda r: run_zero_baseline((1,), 100, r),
+        ],
+        ids=["dsep", "mb", "partition", "cmb", "discovery", "zero-baseline"],
+    )
+    def test_fewer_than_one_refused(self, run, replicates):
+        with pytest.raises(ValueError, match=f"replicates must be >= 1, got {replicates}"):
+            run(replicates)
+
+
 class TestWriting:
     def test_files_and_json_shape(self, tmp_path):
         result = run_dsep_benchmark(ns=(100,), noises=(0.0,), replicates=2, seed=7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from climb.citests import CiQuery, _Given, _givens, empirical_cmi, g2_test, i_sc, make_test, sci
 from climb.nml import RegretTable, log_regret
+from climb.sampling import SampleSpec, dsep_fixture
 from climb.table import CategoricalTable
 
 
@@ -169,6 +170,12 @@ class TestG2:
         t = table_from([("x", x, 2), ("y", x, 2)])
         verdict = g2_test(CiQuery(0, 1, (), t), min_samples_per_dof=0.0)
         assert not verdict.independent
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0, float("nan")])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        t, _ = dsep_fixture(SampleSpec(500, 0.3, 1))
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            g2_test(CiQuery(0, 3, (), t), alpha=alpha)
 
     def test_degenerate_stratum_independent(self):
         t = table_from(

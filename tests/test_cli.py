@@ -130,6 +130,16 @@ class TestOutOfRangeSettings:
 _SMALL_DSEP = ["--replicates", "1", "--sizes", "100", "--tests", "sci"]
 
 
+# .domains sidecars that are valid JSON of the wrong shape, by file stem
+_SIDECARS = {
+    "dnum": json.dumps({"a": 5}),
+    "darr": json.dumps(["a"]),
+    "dstr": json.dumps({"a": "01"}),
+    "ddup": json.dumps({"a": ["0", "0", "1"]}),
+    "dlab": json.dumps({"b": ["0", 1]}),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "command, message",
@@ -163,12 +173,24 @@ class TestBadInput:
              "partial DAG must be a JSON object, got array"),
             (["citest", "--data", "{sided}", "--x", "a", "--y", "b"],
              "{sidecar}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+            (["citest", "--data", "{dnum}", "--x", "a", "--y", "b"],
+             "{dnum_sidecar}: column 'a' domain must be a JSON array, got number"),
+            (["citest", "--data", "{darr}", "--x", "a", "--y", "b"],
+             "{darr_sidecar}: the sidecar must be a JSON object, got array"),
+            (["citest", "--data", "{dstr}", "--x", "a", "--y", "b"],
+             "{dstr_sidecar}: column 'a' domain must be a JSON array, got string"),
+            (["citest", "--data", "{ddup}", "--x", "a", "--y", "b"],
+             "{ddup_sidecar}: column 'a' repeats the label '0'"),
+            (["citest", "--data", "{dlab}", "--x", "a", "--y", "b"],
+             "{dlab_sidecar}: column 'b' label 1 must be a JSON string, got number"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
              "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
              "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
-             "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json"],
+             "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",
+             "csv-domains-number", "csv-domains-array", "csv-domains-string", "csv-domains-repeat",
+             "csv-domains-label-number"],
     )
     def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
         inputs = {
@@ -181,13 +203,17 @@ class TestBadInput:
             "not_json.json": "",
             "sided.csv": "a,b\n0,1\n",
             "sided.domains": "{\n",
+            **{f"{k}.csv": "a,b\n0,1\n" for k in _SIDECARS},
+            **{f"{k}.domains": text for k, text in _SIDECARS.items()},
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
         paths = {"short": tmp_path / "short.csv", "pdag": tmp_path / "bad.json", "out": tmp_path / "out",
                  "demo": workdir / "demo.csv", "bif": workdir / "demo.bif",
                  "sided": tmp_path / "sided.csv", "sidecar": tmp_path / "sided.domains",
-                 **{k: tmp_path / f"{k}.json" for k in ("array", "no_nodes", "no_directed", "zz", "not_json")}}
+                 **{k: tmp_path / f"{k}.json" for k in ("array", "no_nodes", "no_directed", "zz", "not_json")},
+                 **{k: tmp_path / f"{k}.csv" for k in _SIDECARS},
+                 **{f"{k}_sidecar": tmp_path / f"{k}.domains" for k in _SIDECARS}}
         res = CliRunner().invoke(main, [a.format(**paths) for a in command])
         assert res.exit_code == 2
         assert res.output == message.format(**paths) + "\n"
@@ -264,8 +290,11 @@ class TestBench:
             ("cmb", ["--max-cond", "-1"], "max_cond must be >= 0"),
             ("discovery", ["--alpha", "2"], "alpha must lie in (0, 1)"),
             ("discovery", ["--max-cond", "-1"], "max_cond must be >= 0"),
+            ("dsep", ["--replicates", "0"], "replicates must be >= 1, got 0"),
+            ("partition", ["--replicates", "-2"], "replicates must be >= 1, got -2"),
         ],
-        ids=["dsep-alpha", "dsep-kind", "mb-max-cond", "cmb-max-cond", "discovery-alpha", "discovery-max-cond"],
+        ids=["dsep-alpha", "dsep-kind", "mb-max-cond", "cmb-max-cond", "discovery-alpha", "discovery-max-cond",
+             "dsep-replicates", "partition-replicates"],
     )
     def test_refused_settings_exit_code(self, workdir, tmp_path, suite, flags, message):
         net = [] if suite == "dsep" else ["--bif", workdir / "demo.bif"]

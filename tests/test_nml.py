@@ -245,13 +245,14 @@ class TestStochasticComplexity:
 
 
 class TestConditionalSc:
-    def test_empty_conditioning_equals_unconditional(self):
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 3, size=60)
-        labels = np.zeros(60, dtype=np.int64)
-        assert conditional_sc(x, 3, labels) == pytest.approx(
-            stochastic_complexity(x, 3), abs=1e-12
-        )
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    @example(3, 60, 3)
+    def test_empty_conditioning_equals_unconditional(self, card, n, seed):
+        # one group is the unconditional case, bit for bit
+        x = np.random.default_rng(seed).integers(0, card, size=n)
+        labels = np.zeros(n, dtype=np.int64)
+        assert conditional_sc(x, card, labels).hex() == stochastic_complexity(x, card).hex()
 
     def test_self_conditioning_leaves_only_regret(self):
         x = np.array([0, 1] * 4)
