@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import climb
-from climb.bench import _climb_sweep, _streams, _truth_roles
+from climb.bench import _blankets, _streams, _truth_roles
 from climb.netgen import alarm_network
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -189,15 +189,6 @@ def partition(args) -> None:
 # -- blanket -----------------------------------------------------------------
 
 
-def blankets(method: str, net, data, test) -> dict[str, set[str]]:
-    """Each node's undirected blanket by ``method``; CLIMB leaves out the nodes its cap refuses."""
-    if method.startswith("climb"):
-        roles = _climb_sweep(net, data, test, MAX_COND, CAP, [])
-        return {v: set().union(*r.values()) for v, r in roles.items()}
-    found = {v: climb.pcmb(data, data.index_of(v), test, MAX_COND)[0] for v in net.nodes}
-    return {v: {data.names[i] for i in got} for v, got in found.items()}
-
-
 def blanket(args) -> None:
     """Cost and accuracy of each blanket method on the acceptance ``mb`` fixture.
 
@@ -223,7 +214,7 @@ def blanket(args) -> None:
             test = climb.make_test(data, method.split("_")[-1])
             cell = totals[method, n]
             start = time.perf_counter()
-            found = blankets(method, net, data, test)
+            found = _blankets(method, net, data, test, MAX_COND, CAP, [])
             cell["seconds"] += time.perf_counter() - start
             cell["f1"] += [climb.set_metrics(got, truth[v])[2] for v, got in found.items()]
             cell["capped"] += len(net.nodes) - len(found)

@@ -17,7 +17,7 @@ from .blanket import (
     pcmb,
     score_partition,
 )
-from .citests import CiQuery, CiVerdict, empirical_cmi, g2_test, i_sc, make_test, sci
+from .citests import CiQuery, CiVerdict, g2_test, make_test, sci
 from .csvio import load_csv, write_csv
 from .graph import (
     PDag,
@@ -29,7 +29,7 @@ from .graph import (
     pc_stable_skeleton,
     set_metrics,
 )
-from .nml import RegretTable, conditional_sc, delta, log_regret, stochastic_complexity
+from .nml import RegretTable, conditional_sc, delta, stochastic_complexity
 from .sampling import SampleSpec, derive_seed, dsep_fixture, forward_sample
 from .table import CategoricalTable
 

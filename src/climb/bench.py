@@ -21,7 +21,7 @@ import numpy as np
 
 from .bif import BayesNet
 from .blanket import PartitionCapError, climb, find_best_partition, pcmb
-from .citests import CiQuery, IndependenceTest, empirical_cmi, i_sc, make_test, sci
+from .citests import IndependenceTest, make_test
 from .graph import (
     PDag,
     climb_orient,
@@ -31,9 +31,9 @@ from .graph import (
     pc_stable_skeleton,
     set_metrics,
 )
-from .nml import plugin_entropy
+from .nml import conditional_sc, plugin_entropy, stochastic_complexity
 from .sampling import SampleSpec, derive_seed, dsep_fixture, forward_sample
-from .table import CategoricalTable
+from .table import CategoricalTable, group_labels
 
 __all__ = [
     "ExperimentResult",
@@ -248,6 +248,20 @@ def _climb_sweep(
     return roles
 
 
+def _blankets(method: str, net: BayesNet, data: CategoricalTable, tester: IndependenceTest,
+              max_cond: int, cap: int, failures: list[dict], /, **where) -> dict[str, set[str]]:
+    """Undirected blanket of every node of ``net`` by ``method`` (``climb_*`` or ``pcmb_*``).
+
+    CLIMB leaves out the nodes its partition cap refuses, each with a failure
+    row as in :func:`_climb_sweep`; the keys keep ``net.nodes`` order.
+    """
+    if method.startswith("climb"):
+        roles = _climb_sweep(net, data, tester, max_cond, cap, failures, **where)
+        return {v: set().union(*r.values()) for v, r in roles.items()}
+    return {v: {data.names[i] for i in pcmb(data, data.index_of(v), tester, max_cond)[0]}
+            for v in net.nodes}
+
+
 def run_mb_benchmark(
     net: BayesNet,
     sizes: Sequence[int],
@@ -277,15 +291,8 @@ def run_mb_benchmark(
                 testers[kind] = make_test(data, kind, alpha=alpha)
             tester = testers[kind]
             start = tester.count
-            if method.startswith("climb"):
-                roles = _climb_sweep(net, data, tester, max_cond, cap, failures,
-                                     n=n, replicate=rep, method=method)
-                blankets = {v: set().union(*r.values()) for v, r in roles.items()}
-            else:
-                blankets = {
-                    v: {data.names[i] for i in pcmb(data, data.index_of(v), tester, max_cond)[0]}
-                    for v in net.nodes
-                }
+            blankets = _blankets(method, net, data, tester, max_cond, cap, failures,
+                                 n=n, replicate=rep, method=method)
             # per-node means in net.nodes order, over the nodes the cap let through
             scores = [set_metrics(blankets[v], truth[v]) for v in blankets]
             precision, recall, f1 = (_mean_or_none([s[i] for s in scores]) for i in range(3))
@@ -474,11 +481,13 @@ def run_zero_baseline(
 
     The reference score divides information about the *target* X by the
     entropy of X, so its complexity instantiation uses the matching
-    directional statistic, the code-length drop of X when Y is known:
-    ``f_sci`` clamps that at zero before the same normalization. The
-    symmetric two-sided statistic is emitted alongside (``sci_symmetric``);
-    with exact regret values its reverse direction turns positive once the Y
-    domain approaches the sample count, so it is reported, not scored.
+    directional statistic, the code-length drop of X when Y is known (X's
+    stochastic complexity minus its ``conditional_sc`` given Y): ``f_sci``
+    clamps that at zero before the same normalization. ``f_plugin`` is the
+    CMI test's statistic over the same entropy. The symmetric two-sided SCI
+    statistic is emitted alongside (``sci_symmetric``); with exact regret
+    values its reverse direction turns positive once the Y domain
+    approaches the sample count, so it is reported, not scored.
     """
     rows = []
     for ky, rep, rep_seed in _streams(seed, replicates, ky_grid):
@@ -487,9 +496,8 @@ def run_zero_baseline(
         y = rng.integers(0, ky, size=n)
         table = CategoricalTable(("X", "Y"), (x, y), (kx, ky))
         hx = plugin_entropy(np.bincount(x, minlength=kx))
-        q = CiQuery(0, 1, (), table)
-        fp = empirical_cmi(q) / hx if hx > 0 else 0.0
-        stat = i_sc(q)
+        fp = make_test(table, "cmi")(0, 1).statistic / hx if hx > 0 else 0.0
+        stat = stochastic_complexity(x, kx) - conditional_sc(x, kx, group_labels(table, [1])[0])
         fs = max(stat, 0.0) / (n * hx) if hx > 0 else 0.0
         rows.append(
             {
@@ -499,7 +507,7 @@ def run_zero_baseline(
                 "f_plugin": fp,
                 "f_sci": fs,
                 "sci_zero": 1.0 if fs == 0.0 else 0.0,
-                "sci_symmetric": sci(q).statistic,
+                "sci_symmetric": make_test(table, "sci")(0, 1).statistic,
             }
         )
     config = {"ky_grid": list(ky_grid), "n": n, "replicates": replicates, "kx": kx, "seed": seed}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -356,24 +356,36 @@ def climb(
     start = test.count
     pc, sepsets = find_pc(table, target, test, max_cond)
     part = find_best_partition(table, target, pc, cap, regrets)
-    pa, ch = part.parents, part.children
-    sp: set[int] = set()
-    for c in sorted(ch, key=lambda i: table.names[i]):
-        pc_c, _ = find_pc(table, c, test, max_cond)
-        for y in sorted(pc_c, key=lambda i: table.names[i]):
-            if y == target or y in pa or y in ch or y in sp:
-                continue
-            sep = sepsets.get(y, frozenset())
-            if not test(target, y, tuple(sorted(sep | {c}))).independent:
-                sp.add(y)
     result = BlanketResult(
-        parents=pa,
-        children=ch,
-        spouses=frozenset(sp),
+        parents=part.parents,
+        children=part.children,
+        spouses=_spouses(table, target, test, pc, sepsets, part.children,
+                         lambda c: find_pc(table, c, test, max_cond)[0]),
         tests_performed=test.count - start,
     )
     _check_blanket(result, target)
     return result
+
+
+def _spouses(table: CategoricalTable, target: int, test: IndependenceTest, pc: Collection[int],
+             sepsets: dict[int, frozenset[int]], via: Collection[int],
+             pc_of: Callable[[int], Collection[int]]) -> frozenset[int]:
+    """Spouses of ``target`` found through the members ``via`` of its set ``pc``.
+
+    For each c of ``via`` and each y of ``pc_of(c)``, both in name order, a y
+    that is not the target, a member of ``pc`` or a spouse found before is a
+    spouse when it stays dependent on the target given its sepset plus c.
+    CLIMB searches through the children, PCMB through the whole set.
+    """
+    names = table.names
+    found: set[int] = set()
+    for c in sorted(via, key=lambda i: names[i]):
+        for y in sorted(pc_of(c), key=lambda i: names[i]):
+            if y == target or y in pc or y in found:
+                continue
+            if not test(target, y, tuple(sorted(sepsets.get(y, frozenset()) | {c}))).independent:
+                found.add(y)
+    return frozenset(found)
 
 
 def _check_blanket(result: BlanketResult, target: int) -> None:
@@ -390,7 +402,19 @@ def _get_pcd(
     test: IndependenceTest,
     max_cond: int,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """Candidate parents/children with per-round re-ranking (reference search)."""
+    """Candidate parents/children with per-round re-ranking (reference search).
+
+    Memoised on ``test.pc_searches`` under ``("pcd", target, max_cond)``. A
+    rerun would ask the same queries, every one a memo hit, so a hit adds
+    the first run's logical count to ``test.count``, evaluates nothing and
+    returns copies of the first run's result.
+    """
+    key = ("pcd", target, max_cond)
+    if key in test.pc_searches:
+        pcd, sepsets, asked = test.pc_searches[key]
+        test.count += asked
+        return list(pcd), dict(sepsets)
+    start = test.count
     names = table.names
     pcd: list[int] = []
     can = sorted((v for v in range(table.m) if v != target), key=lambda i: names[i])
@@ -432,6 +456,7 @@ def _get_pcd(
                 sepsets[v] = sep
         for v in drop:
             pcd.remove(v)
+    test.pc_searches[key] = list(pcd), dict(sepsets), test.count - start
     return pcd, sepsets
 
 
@@ -456,13 +481,5 @@ def pcmb(
         return out, seps
 
     pc, sepsets = get_pc(target)
-    mb = set(pc)
-    for y in list(pc):
-        pc_y, _ = get_pc(y)
-        for x in pc_y:
-            if x == target or x in mb:
-                continue
-            sep = sepsets.get(x, frozenset())
-            if not test(target, x, tuple(sorted(sep | {y}))).independent:
-                mb.add(x)
-    return frozenset(mb), test.count - start
+    mb = frozenset(pc) | _spouses(table, target, test, pc, sepsets, pc, lambda y: get_pc(y)[0])
+    return mb, test.count - start

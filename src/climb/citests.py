@@ -4,8 +4,8 @@ Three tests sit behind one verdict type: the stochastic-complexity test
 (``sci``), which needs no tuning parameter and declares independence exactly
 when its statistic is <= 0; the classical G^2 likelihood-ratio test with a
 significance level; and plug-in conditional mutual information against a
-fixed cutoff, a verdict only ``IndependenceTest(kind="cmi")`` gives
-(:func:`empirical_cmi` is the bare value). Each statistic is read off one
+fixed cutoff, a verdict only ``IndependenceTest(kind="cmi")`` gives (its
+``statistic`` is the bare value). Each statistic is read off one
 (z, x, y) contingency array per query. :meth:`IndependenceTest.many` asks
 one (x, z) against many y and answers all its memo misses in one pass: one
 (B, g, kx, K) count array, one elementwise pass and one regret lookup per
@@ -28,8 +28,6 @@ from .table import CategoricalTable, _countable, _dense_code, group_labels
 __all__ = [
     "CiQuery",
     "CiVerdict",
-    "empirical_cmi",
-    "i_sc",
     "sci",
     "g2_test",
     "IndependenceTest",
@@ -175,13 +173,10 @@ class _Given:
             head += part.shape[0]
         return float(np.add.reduce(values[:self.z_sizes.shape[0]])), parts
 
-    def _x_given(self, over_z: float, over_zy: np.ndarray) -> tuple[float, list[float]]:
-        """Code length of x given z, and per y the regret part of x's length given (z, y)."""
-        return self.bits_z - self.bits_zx + over_z, _segment_sums(over_zy, self.zy_ends)
-
     def sci(self) -> list[CiVerdict]:
         kx = self.kx
         self._data_bits(True)
+        bits_z, bits_zx = self.bits_z, self.bits_zx
         # per y-cardinality: the regret sums over the z-groups and (z, x) cells
         y_given: dict[int, tuple[float, float]] = {}
         for ky in set(self.kys) - {1, kx}:
@@ -193,8 +188,9 @@ class _Given:
                 y_given[kx] = over_z, float(np.add.reduce(over_zx))
             else:
                 over_z, (over_zy,) = self._lookup(kx, self.zy_cells)
-            x_given_z, x_regrets_zy = self._x_given(over_z, over_zy)
-        bits_z, bits_zx = self.bits_z, self.bits_zx
+            # x's code length given z, and per y the regrets of its length given (z, y)
+            x_given_z = bits_z - bits_zx + over_z
+            x_regrets_zy = _segment_sums(over_zy, self.zy_ends)
         out = []
         for b, ky in enumerate(self.kys):
             bits_zy = self.bits_zy[b]
@@ -208,15 +204,6 @@ class _Given:
             statistic = max(score_x, score_y)
             out.append(CiVerdict(statistic=statistic, independent=statistic <= 0.0))
         return out
-
-    def i_sc(self) -> list[float]:
-        """Per y, the code length of x given z minus given (z, y)."""
-        if self.kx == 1:
-            return [0.0] * len(self.kys)
-        self._data_bits(False)
-        over_z, (over_zy,) = self._lookup(self.kx, self.zy_cells)
-        x_given_z, x_regrets_zy = self._x_given(over_z, over_zy)
-        return [x_given_z - (a - b + c) for a, b, c in zip(self.bits_zy, self.bits_zyx, x_regrets_zy)]
 
     def cmi(self) -> list[float]:
         """Per y, plug-in I(x; y | z) in bits per sample, with noise below 1e-12 read as 0."""
@@ -334,16 +321,6 @@ def _g2_verdicts(table: CategoricalTable, x: int, z: tuple[int, ...], ys: Sequen
     return [v or CiVerdict(statistic=0.0, independent=True, p_value=1.0) for v in out]
 
 
-def empirical_cmi(q: CiQuery) -> float:
-    """Plug-in conditional mutual information I(x; y | z) in bits per sample."""
-    return _Given(q.table, q.x, q.z, (q.y,)).cmi()[0]
-
-
-def i_sc(q: CiQuery) -> float:
-    """Directional score: code length of x given z minus given z and y."""
-    return _Given(q.table, q.x, q.z, (q.y,)).i_sc()[0]
-
-
 def sci(q: CiQuery) -> CiVerdict:
     """Symmetric stochastic-complexity independence verdict.
 
@@ -379,8 +356,9 @@ class IndependenceTest:
     is read-only, so a memoised verdict never outlives it.
 
     ``pc_searches`` memoises :mod:`climb.blanket`'s one-sided searches by
-    ``(target, max_cond)``. A search is a function of the verdicts it reads,
-    so it shares their scope: one table, one kind, one configuration.
+    ``(target, max_cond)``, and PCMB's candidate searches by ``("pcd",
+    target, max_cond)``. A search is a function of the verdicts it reads, so
+    it shares their scope: one table, one kind, one configuration.
 
     The ``strength`` of a verdict orders dependence for search heuristics:
     larger means more dependent, whatever the underlying test reports.
@@ -407,7 +385,7 @@ class IndependenceTest:
         self._min_samples_per_dof = min_samples_per_dof
         self._regrets = regrets
         self._memo: dict[tuple, CiVerdict] = {}
-        self.pc_searches: dict[tuple[int, int], tuple] = {}
+        self.pc_searches: dict[tuple, tuple] = {}
         self.count = 0
         self.evaluated = 0
 

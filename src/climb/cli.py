@@ -40,13 +40,16 @@ def _parse_names(table, raw: str) -> tuple[int, ...]:
 
 
 def _csv_list(kind: type, noun: str):
-    """Option callback: parse a comma-separated list of ``kind`` values."""
+    """Option callback: parse a comma-separated list of ``kind`` values, at least one."""
 
     def parse(ctx: click.Context, param: click.Parameter, raw: str) -> tuple:
         try:
-            return tuple(kind(x) for x in raw.split(",") if x.strip())
+            values = tuple(kind(x) for x in raw.split(",") if x.strip())
         except ValueError:
-            raise ValueError(f"{param.opts[0]}: expected comma-separated {noun}, got {raw!r}") from None
+            values = ()
+        if not values:
+            raise ValueError(f"{param.opts[0]}: expected comma-separated {noun}, got {raw!r}")
+        return values
 
     return parse
 

@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "RegretTable",
     "shared_regrets",
-    "log_regret",
     "plugin_entropy",
     "regret_sum",
     "stochastic_complexity",
@@ -218,10 +217,6 @@ _SHARED = RegretTable()
 def shared_regrets() -> RegretTable:
     """The process-lifetime table shared by default across all scoring calls."""
     return _SHARED
-
-
-def log_regret(card: int, n: int, regrets: RegretTable | None = None) -> float:
-    return (regrets or _SHARED).log_regret(card, n)
 
 
 def plugin_entropy(counts: np.ndarray) -> float:

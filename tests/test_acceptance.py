@@ -24,7 +24,7 @@ from climb.bif import exact_joint
 from climb.citests import CiQuery, sci
 from climb.graph import d_separated
 from climb.netgen import alarm_network, random_net
-from climb.nml import RegretTable, delta, log_regret
+from climb.nml import RegretTable, delta
 from climb.table import CategoricalTable
 
 from test_nml import brute_force_log_regret

@@ -463,6 +463,22 @@ class TestClimb:
         _, count = pcmb(data, data.index_of("T"), t2)
         assert res.tests_performed <= count
 
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    def test_pcmb_rerun_replays_its_candidate_searches(self, kind):
+        # a rerun on the same test adds the count a search from the verdict
+        # memo alone adds, and evaluates nothing
+        data = forward_sample(blanket_demo_network(), SampleSpec(3000, 0.0, 42))
+        target = data.index_of("T")
+        memo, verdicts_only = make_test(data, kind), make_test(data, kind)
+        first = pcmb(data, target, memo)
+        assert ("pcd", target, 3) in memo.pc_searches
+        assert pcmb(data, target, verdicts_only) == first
+        evaluated = memo.evaluated
+        verdicts_only.pc_searches.clear()
+        again = pcmb(data, target, memo)
+        assert again == pcmb(data, target, verdicts_only) == first
+        assert memo.evaluated == verdicts_only.evaluated == evaluated
+
     def test_cap_error_propagates(self):
         net = blanket_demo_network()
         data = forward_sample(net, SampleSpec(8000, 0.0, 44))

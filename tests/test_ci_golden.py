@@ -1,10 +1,10 @@
 """Bit-exact regression of the CI statistics on fixed queries.
 
-``ci_golden.json`` holds ``float.hex`` of ``sci``, ``i_sc``, ``g2_test`` and
-``empirical_cmi`` for every query built below, recorded before the CI layer
-moved to one contingency kernel. SCI declares independence at ``<= 0`` and G²
-at its alpha cut, so a one-ulp drift can flip a verdict: equality here is
-bitwise, not approximate.
+``ci_golden.json`` holds ``float.hex`` of ``sci``, the directional score
+(``i_sc``), ``g2_test`` and the CMI statistic for every query built below,
+recorded before the CI layer moved to one contingency kernel. SCI declares
+independence at ``<= 0`` and G² at its alpha cut, so a one-ulp drift can flip
+a verdict: equality here is bitwise, not approximate.
 
 The queries cover x/y swaps, permuted conditioning sets, conditioning sets
 with unrealized strata, a cardinality-1 column, an empty table, and joint
@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climb.citests import CiQuery, CiVerdict, empirical_cmi, g2_test, i_sc, make_test, sci
+from climb.citests import CiQuery, g2_test, make_test, sci
 from climb.netgen import alarm_network
+from climb.nml import conditional_sc
 from climb.sampling import SampleSpec, derive_seed, forward_sample
-from climb.table import CategoricalTable
+from climb.table import CategoricalTable, group_labels
 
 GOLDEN = Path(__file__).with_name("ci_golden.json")
 
@@ -84,16 +85,23 @@ def _queries(tables: dict[str, CategoricalTable]) -> list[tuple[str, int, int, t
     return out
 
 
+def directional_score(q: CiQuery) -> float:
+    """Code length of x given z minus given (z, y)."""
+    x, card = q.table.columns[q.x], q.table.cards[q.x]
+    given_z = conditional_sc(x, card, group_labels(q.table, list(q.z))[0])
+    return given_z - conditional_sc(x, card, group_labels(q.table, [*q.z, q.y])[0])
+
+
 def _record(q: CiQuery) -> dict[str, str]:
     g2 = g2_test(q, 0.01, 0.0)
     g2_floor = g2_test(q)
     return {
         "sci": sci(q).statistic.hex(),
-        "i_sc": i_sc(q).hex(),
+        "i_sc": directional_score(q).hex(),
         "g2": g2.statistic.hex(),
         "g2_p": g2.p_value.hex(),
         "g2_floor_p": g2_floor.p_value.hex(),
-        "cmi": empirical_cmi(q).hex(),
+        "cmi": make_test(q.table, "cmi")(q.x, q.y, q.z).statistic.hex(),
     }
 
 
@@ -184,7 +192,7 @@ def test_wide_batches_match_single_queries(tables):
                 elif kind == "g2":
                     want = g2_test(q)
                 else:
-                    want = CiVerdict(empirical_cmi(q), empirical_cmi(q) <= 0.0)
+                    want = make_test(alarm, "cmi")(x, y, z)
                 assert (verdict.statistic.hex(), verdict.p_value, verdict.independent) == (
                     want.statistic.hex(), want.p_value, want.independent), (kind, x, y, z)
 

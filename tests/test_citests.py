@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climb.citests import CiQuery, _Given, _givens, empirical_cmi, g2_test, i_sc, make_test, sci
-from climb.nml import RegretTable, log_regret
+from climb.citests import CiQuery, _Given, _givens, g2_test, make_test, sci
+from climb.nml import RegretTable, shared_regrets
 from climb.sampling import SampleSpec, dsep_fixture
 from climb.table import CategoricalTable
+from test_ci_golden import directional_score
 
 
 def table_from(cols):
     return CategoricalTable.from_columns(cols)
+
+
+def cmi(t, x, y, z=()):
+    """The CMI test's statistic, plug-in I(x; y | z) in bits per sample."""
+    return make_test(t, "cmi")(x, y, z).statistic
 
 
 def balanced_pair(n):
@@ -39,20 +45,20 @@ class TestCiQuery:
 class TestEmpiricalCmi:
     def test_factorized_counts_zero(self):
         t = balanced_pair(100)
-        assert empirical_cmi(CiQuery(0, 1, (), t)) == 0.0
+        assert cmi(t, 0, 1) == 0.0
 
     def test_identical_balanced_one_bit(self):
         x = np.array([0, 1] * 50)
         t = table_from([("x", x, 2), ("y", x, 2)])
-        assert empirical_cmi(CiQuery(0, 1, (), t)) == pytest.approx(1.0, abs=1e-12)
+        assert cmi(t, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_xor_conditional_one_bit(self):
         rows = [(x, y, x ^ y) for x in (0, 1) for y in (0, 1) for _ in range(5)]
         arr = np.array(rows)
         t = table_from([("a", arr[:, 0], 2), ("b", arr[:, 1], 2), ("c", arr[:, 2], 2)])
-        assert empirical_cmi(CiQuery(0, 2, (1,), t)) == pytest.approx(1.0, abs=1e-12)
+        assert cmi(t, 0, 2, (1,)) == pytest.approx(1.0, abs=1e-12)
         # marginally the xor pair is independent
-        assert empirical_cmi(CiQuery(0, 2, (), t)) == 0.0
+        assert cmi(t, 0, 2) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 4), st.integers(2, 4), st.integers(5, 60), st.integers(0, 2 ** 31))
@@ -65,8 +71,8 @@ class TestEmpiricalCmi:
                 ("z", rng.integers(0, 2, n), 2),
             ]
         )
-        a = empirical_cmi(CiQuery(0, 1, (2,), t))
-        b = empirical_cmi(CiQuery(1, 0, (2,), t))
+        a = cmi(t, 0, 1, (2,))
+        b = cmi(t, 1, 0, (2,))
         assert a >= 0.0
         assert a == pytest.approx(b, abs=1e-12)
 
@@ -74,20 +80,22 @@ class TestEmpiricalCmi:
 class TestDirectionalScore:
     def test_independent_pair_is_negative(self):
         t = balanced_pair(8)
-        got = i_sc(CiQuery(0, 1, (), t))
-        expect = log_regret(2, 8) - 2 * log_regret(2, 4)
+        got = directional_score(CiQuery(0, 1, (), t))
+        regret = shared_regrets().log_regret
+        expect = regret(2, 8) - 2 * regret(2, 4)
         assert got == pytest.approx(expect, abs=1e-9)
         assert got < 0
 
     def test_constant_column_scores_zero(self):
         t = table_from([("x", np.zeros(20, dtype=int), 1), ("y", np.arange(20) % 2, 2)])
-        assert i_sc(CiQuery(0, 1, (), t)) == 0.0
+        assert directional_score(CiQuery(0, 1, (), t)) == 0.0
 
     def test_identical_columns_positive(self):
         x = np.array([0, 1] * 50)
         t = table_from([("x", x, 2), ("y", x, 2)])
-        got = i_sc(CiQuery(0, 1, (), t))
-        expect = 100 * 1.0 + log_regret(2, 100) - 2 * log_regret(2, 50)
+        got = directional_score(CiQuery(0, 1, (), t))
+        regret = shared_regrets().log_regret
+        expect = 100 * 1.0 + regret(2, 100) - 2 * regret(2, 50)
         assert got == pytest.approx(expect, abs=1e-9)
         assert got > 0
 
@@ -140,7 +148,7 @@ class TestSci:
                 xs += [i] * count
                 ys += [j] * count
         t = table_from([("x", xs, kx), ("y", ys, ky)])
-        assert empirical_cmi(CiQuery(0, 1, (), t)) == 0.0
+        assert cmi(t, 0, 1) == 0.0
         assert sci(CiQuery(0, 1, (), t)).independent
 
 

@@ -155,6 +155,14 @@ class TestBadInput:
              "--sizes: expected comma-separated integers, got '100,x'"),
             (["bench", "dsep", "--out-dir", "{out}", "--noise", "0,x"],
              "--noise: expected comma-separated numbers, got '0,x'"),
+            (["bench", "dsep", "--out-dir", "{out}", "--sizes", ","],
+             "--sizes: expected comma-separated integers, got ','"),
+            (["bench", "mb", "--out-dir", "{out}", "--bif", "{bif}", "--sizes", ""],
+             "--sizes: expected comma-separated integers, got ''"),
+            (["bench", "dsep", "--out-dir", "{out}", "--noise", ","],
+             "--noise: expected comma-separated numbers, got ','"),
+            (["bench", "zero-baseline", "--out-dir", "{out}", "--ky-grid", ","],
+             "--ky-grid: expected comma-separated integers, got ','"),
             (["sample", "--bif", "{bif}", "-n", "10", "--out", "{out}/x.csv"],
              "[Errno 2] No such file or directory: '{out}/x.csv'"),
             (["bench", "dsep", "--out-dir", "{short}", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
@@ -186,6 +194,8 @@ class TestBadInput:
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
              "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
+             "bench-dsep-sizes-empty", "bench-mb-sizes-empty", "bench-dsep-noise-empty",
+             "bench-zero-baseline-ky-grid-empty",
              "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
              "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",

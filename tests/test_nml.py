@@ -13,7 +13,6 @@ from climb.nml import (
     _regret_bits,
     conditional_sc,
     delta,
-    log_regret,
     plugin_entropy,
     shared_regrets,
     stochastic_complexity,
@@ -48,18 +47,18 @@ def brute_force_log_regret(card, n):
 
 class TestLogRegret:
     def test_zero_samples(self):
-        assert log_regret(5, 0) == 0.0
+        assert shared_regrets().log_regret(5, 0) == 0.0
 
     def test_single_sample_is_log_cardinality(self):
-        assert log_regret(4, 1) == pytest.approx(2.0, abs=1e-12)
+        assert shared_regrets().log_regret(4, 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_binary_two_samples(self):
         # brute force over h1 + h2 = 2 gives 1 + 1 + 1/2 = 2.5
-        assert log_regret(2, 2) == pytest.approx(math.log2(2.5), abs=1e-12)
+        assert shared_regrets().log_regret(2, 2) == pytest.approx(math.log2(2.5), abs=1e-12)
 
     def test_unit_cardinality(self):
         for n in (0, 1, 7, 100):
-            assert log_regret(1, n) == 0.0
+            assert shared_regrets().log_regret(1, n) == 0.0
 
     @pytest.mark.parametrize("card", [2, 3, 4])
     def test_matches_brute_force(self, card):
@@ -70,7 +69,7 @@ class TestLogRegret:
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_large_cardinality_single_sample(self):
-        assert log_regret(1024, 1) == pytest.approx(10.0, abs=1e-9)
+        assert shared_regrets().log_regret(1024, 1) == pytest.approx(10.0, abs=1e-9)
 
     def test_huge_domain_does_not_overflow(self):
         # far beyond double exponent range if accumulated naively
@@ -257,7 +256,7 @@ class TestConditionalSc:
     def test_self_conditioning_leaves_only_regret(self):
         x = np.array([0, 1] * 4)
         labels = x.copy()
-        expect = 2 * log_regret(2, 4)
+        expect = 2 * shared_regrets().log_regret(2, 4)
         assert conditional_sc(x, 2, labels) == pytest.approx(expect, abs=1e-12)
 
     def test_exhaustive_small_case(self):
@@ -385,6 +384,6 @@ class TestGroupLabels:
 class TestSharedTable:
     def test_shared_instance_is_reused(self):
         assert shared_regrets() is shared_regrets()
-        a = log_regret(2, 10)
-        b = log_regret(2, 10)
+        a = shared_regrets().log_regret(2, 10)
+        b = shared_regrets().log_regret(2, 10)
         assert a == b
