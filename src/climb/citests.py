@@ -19,7 +19,6 @@ from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .nml import RegretTable, _count_bits_table, _row_sums, shared_regrets
 from .nml import conditional_sc  # noqa: F401  (still importable from this module)
@@ -314,6 +313,9 @@ def _g2_verdicts(table: CategoricalTable, x: int, z: tuple[int, ...], ys: Sequen
     tested = [i for i, dof in enumerate(dofs) if dof > 0 and not table.n < min_samples_per_dof * dof]
     out: list[CiVerdict | None] = [None] * len(ys)
     if tested:
+        # scipy.special costs about 0.25 s to import, so only G² users pay it
+        from scipy.special import chdtrc
+
         stats = _per_y(_givens(table, x, z, [ys[i] for i in tested]), _Given.g2)
         ps = chdtrc([dofs[i] for i in tested], stats).tolist()
         for i, stat, p in zip(tested, stats, ps):

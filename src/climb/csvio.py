@@ -5,7 +5,10 @@ order and the cardinality is the number of distinct values seen, unless a
 ``<name>.domains`` sidecar (JSON mapping column name to its ordered label
 list) declares the domain; then codes follow the sidecar and unobserved
 categories stay representable. ``write_csv`` always emits the sidecar, so a
-write/load round trip preserves codes and cardinalities exactly.
+write/load round trip preserves codes and cardinalities exactly. For that,
+column names and labels must be free of leading or trailing whitespace
+(``load_csv`` strips every field), and each column's labels must be distinct
+strings; ``write_csv`` refuses anything else before it creates a file.
 """
 from __future__ import annotations
 
@@ -98,22 +101,39 @@ def write_csv(
     path: str | Path,
     labels: Mapping[str, Sequence[str]] | None = None,
 ) -> None:
-    """Write categories as strings plus a sidecar declaring every domain."""
+    """Write categories as strings plus a sidecar declaring every domain.
+
+    ``ValueError`` naming the column, and the label where one is at fault,
+    for a label list of the wrong length, or a name or label that would not
+    load back.
+    """
     path = Path(path)
     lab: dict[str, list[str]] = {}
     for name, card in zip(table.names, table.cards):
+        if name != name.strip():
+            raise ValueError(f"column {name!r}: the name has surrounding whitespace")
         if labels is not None and name in labels:
             got = list(labels[name])
             if len(got) != card:
                 raise ValueError(f"column {name!r}: {len(got)} labels for cardinality {card}")
+            seen = set()
+            for label in got:
+                if not isinstance(label, str):
+                    raise ValueError(f"column {name!r}: label {label!r} is not a string")
+                if label != label.strip():
+                    raise ValueError(f"column {name!r}: label {label!r} has surrounding whitespace")
+                if label in seen:
+                    raise ValueError(f"column {name!r} repeats the label {label!r}")
+                seen.add(label)
             lab[name] = got
         else:
             lab[name] = [str(i) for i in range(card)]
+    # one gather per column; the writer still quotes each field and ends each row
+    columns = [np.array(lab[name], dtype=object)[col].tolist() for name, col in zip(table.names, table.columns)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        for i in range(table.n):
-            writer.writerow([lab[name][int(col[i])] for name, col in zip(table.names, table.columns)])
+        writer.writerows(zip(*columns))
     domains_path(path).write_text(
         json.dumps({name: lab[name] for name in table.names}, indent=2, sort_keys=True) + "\n"
     )

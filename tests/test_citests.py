@@ -446,7 +446,18 @@ class TestMany:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # p-values come from scipy.special.chdtrc; scipy.stats costs about a second to import
-    code = "import sys, climb; print('scipy.stats' in sys.modules)"
+    # scipy.stats costs about a second to import and scipy.special about 0.25 s: the
+    # package and its command line load no scipy at all, and the first G² verdict
+    # loads scipy.special for chdtrc, still without scipy.stats
+    code = (
+        "import sys, climb, climb.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "t = climb.CategoricalTable.from_columns([('a', [0, 1] * 20, 2), ('b', [0, 1] * 20, 2)])\n"
+        "print(climb.g2_test(climb.CiQuery(0, 1, (), t)))\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loaded, verdict, after = out.stdout.splitlines()
+    assert loaded == "[]"
+    assert verdict.startswith("CiVerdict(") and "independent=False" in verdict
+    assert after == "True False"
