@@ -50,9 +50,11 @@ class BayesNet:
             cpt = self.cpts[v]
             if cpt.shape != (rows, k):
                 raise ValueError(f"{v}: CPT shape {cpt.shape} does not cover {rows} x {k}")
-            if not np.allclose(cpt.sum(axis=1), 1.0, atol=1e-9):
+            # np.allclose(row sums, 1.0, atol=1e-9) in one row-sized array; a NaN row fails it too
+            dev = cpt.sum(axis=1) - 1.0
+            if not (np.abs(dev, out=dev) <= 1e-9 + 1e-5).all():
                 raise ValueError(f"{v}: CPT rows must sum to 1")
-            if (cpt < 0).any():
+            if cpt.size and cpt.min() < 0:  # every entry is finite here
                 raise ValueError(f"{v}: negative probability")
         dag = self.dag()
         if not dag.is_acyclic():
@@ -211,7 +213,11 @@ def _parse_variable(ts: _TokenStream, decl: dict, labels: dict) -> None:
         raise BifParseError("cardinality must be >= 1", k_tok.line, k_tok.col)
     ts.expect("]")
     ts.expect("{")
-    cats = [tok.text for tok in ts.until("}", "category label or '}'")]
+    cats: dict[str, None] = {}  # in listed order
+    for tok in ts.until("}", "category label or '}'"):
+        if tok.text in cats:
+            raise BifParseError(f"value {tok.text!r} listed twice for {v!r}", tok.line, tok.col)
+        cats[tok.text] = None
     ts.expect(";")
     ts.expect("}")
     if len(cats) != k:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,6 +25,9 @@ from .graph import _json_typed
 from .table import CategoricalTable
 
 __all__ = ["load_csv", "write_csv", "domains_path"]
+
+# rows read and coded at a time by load_csv
+_BLOCK = 256
 
 
 def domains_path(csv_path: str | Path) -> Path:
@@ -54,45 +59,67 @@ def _read_domains(sidecar: Path) -> dict[str, list[str]]:
 def load_csv(path: str | Path) -> CategoricalTable:
     """Read a comma-separated file (names in its first row) into coded columns.
 
-    A ``.domains`` sidecar that is not a JSON object mapping column names to
-    lists of distinct strings is refused with ``ValueError``.
+    Rows are read and coded ``_BLOCK`` at a time, so only one block's fields
+    are ever held as strings. A ``.domains`` sidecar that is not a JSON
+    object mapping column names to lists of distinct strings is refused with
+    ``ValueError``. Refusals keep one order, whatever block they fall in: an
+    empty file, then the first row of the wrong width, then the sidecar, then
+    the first label absent from its declared domain in the leftmost column
+    that holds one.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    names = [c.strip() for c in rows[0]]
-    body = rows[1:]
-    width = len(names)
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
-
-    sidecar = domains_path(path)
-    domains = _read_domains(sidecar) if sidecar.exists() else {}
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [c.strip() for c in header]
+        width = len(names)
+        sidecar = domains_path(path)
+        try:
+            domains = _read_domains(sidecar) if sidecar.exists() else {}
+            bad_sidecar = None
+        except (OSError, ValueError) as exc:  # refused once every row is known to be whole
+            domains, bad_sidecar = {}, exc
+        mappings = [{lab: i for i, lab in enumerate(domains[name])} if name in domains else {} for name in names]
+        absent: dict[int, str] = {}  # column -> its first label outside the declared domain
+        buffers = [np.empty(_BLOCK, dtype=np.int64) for _ in names]
+        n = 0
+        while block := list(islice(reader, _BLOCK)):
+            if set(map(len, block)) != {width}:
+                lineno, row = next((i, r) for i, r in enumerate(block, start=n + 2) if len(r) != width)
+                deque(reader, maxlen=0)  # a row that does not parse, in any later block, is refused first
+                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
+            end = n + len(block)
+            for j, fields in enumerate(zip(*block)):
+                buf, mapping = buffers[j], mappings[j]
+                if end > buf.size:  # doubled, so each row is copied a bounded number of times
+                    grown = np.empty(2 * buf.size, dtype=np.int64)
+                    grown[:n] = buf[:n]
+                    buf = buffers[j] = grown
+                coded = dict.fromkeys(fields)  # distinct raw fields, in row order
+                for raw in coded:
+                    label = raw.strip()
+                    code = mapping.get(label)
+                    if code is None:
+                        if names[j] in domains:
+                            absent.setdefault(j, label)
+                            code = 0  # a placeholder: the load is refused once every row is read
+                        else:
+                            code = mapping[label] = len(mapping)
+                    coded[raw] = code
+                buf[n:end] = np.fromiter(map(coded.__getitem__, fields), dtype=np.int64, count=len(block))
+            n = end
+    if bad_sidecar is not None:
+        raise bad_sidecar
+    if absent:
+        j = min(absent)
+        raise ValueError(f"{path}: column {names[j]!r} holds {absent[j]!r}, absent from its declared domain")
     columns = []
-    cards = []
-    for j, name in enumerate(names):
-        raw = [row[j].strip() for row in body]
-        if name in domains:
-            order = domains[name]
-            mapping = {lab: i for i, lab in enumerate(order)}
-            try:
-                codes = np.array([mapping[v] for v in raw], dtype=np.int64)
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}: column {name!r} holds {exc.args[0]!r}, absent from its declared domain"
-                ) from None
-            card = len(order)
-        else:
-            mapping = {}
-            codes = np.empty(len(raw), dtype=np.int64)
-            for i, v in enumerate(raw):
-                codes[i] = mapping.setdefault(v, len(mapping))
-            card = max(len(mapping), 1)
-        columns.append(codes)
-        cards.append(card)
+    for j in range(width):
+        columns.append(buffers[j][:n].copy())
+        buffers[j] = None  # trimmed one column at a time, so the spare capacity goes as it is copied
+    cards = [len(domains[name]) if name in domains else max(len(mapping), 1) for name, mapping in zip(names, mappings)]
     return CategoricalTable(tuple(names), tuple(columns), tuple(cards))
 
 

@@ -149,7 +149,8 @@ def random_cpts(
         w = np.clip(base + rng.uniform(-spread, spread, size=rows), 0.02, 0.98)
         cpt = np.full((rows, k), (1.0 - w)[:, None] / k)
         cpt[np.arange(rows), peak] += w
-        cpts[v] = cpt / cpt.sum(axis=1, keepdims=True)
+        cpt /= cpt.sum(axis=1, keepdims=True)  # in place: one table-sized array per node
+        cpts[v] = cpt
     return cpts
 
 
@@ -217,6 +218,7 @@ def random_net(
         for v in names:
             rows = math.prod(cards[p] for p in parents[v])
             cpt = rng.dirichlet(np.full(cards[v], concentration), size=rows)
-            cpts[v] = cpt / cpt.sum(axis=1, keepdims=True)
+            cpt /= cpt.sum(axis=1, keepdims=True)
+            cpts[v] = cpt
     labels = {v: tuple(f"s{i}" for i in range(cards[v])) for v in names}
     return BayesNet(name="random", nodes=names, labels=labels, parents=parents, cpts=cpts)

@@ -50,6 +50,9 @@ probability ( B | A ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
 probability ( C | B ) { ( x ) 0.5, 0.5; ( y ) 0.2, 0.8; }
 """
 
+# a variable whose two states share a label
+REPEATED_LABEL = "variable A { type discrete [ 2 ] { x, x }; }\nprobability ( A ) { table 0.5, 0.5; }\n"
+
 
 def _reference_tokenize(text):
     """The character-by-character tokenizer the regex one must reproduce."""
@@ -179,10 +182,11 @@ class TestParse:
             (CHILD.replace("0.5, 0.25, 0.25", "1.5, -0.25, -0.25"), "negative probability -0.25", 7, 15),
             (LOOP, "parent structure has a cycle between 'A' and 'B'", 6, 19),
             (LOOP3, "parent structure has a cycle", 8, 19),
+            (REPEATED_LABEL, "value 'x' listed twice for 'A'", 1, 39),
         ],
         ids=["categories", "parents", "row-values", "probabilities", "row-too-long",
              "duplicate-parent", "self-loop", "missing-block", "negative-value", "two-block-cycle",
-             "three-block-cycle"],
+             "three-block-cycle", "repeated-label"],
     )
     def test_item_list_errors_pinned(self, text, message, line, col):
         with pytest.raises(BifParseError) as err:
@@ -227,6 +231,21 @@ class TestRoundTrip:
 
 
 class TestBayesNetValidation:
+    @pytest.mark.parametrize(
+        "row, accepted",
+        # the tolerance is np.allclose's at atol=1e-9: |sum - 1| <= 1e-9 + 1e-5
+        [([0.5, 0.5 + 1.0e-5], True), ([0.5, 0.5 + 1.1e-5], False), ([np.nan, 1.0], False)],
+        ids=["sum-1+1.0e-5", "sum-1+1.1e-5", "nan-row"],
+    )
+    def test_row_sum_tolerance(self, row, accepted):
+        make = functools.partial(BayesNet, "edge", ("A",), {"A": ("x", "y")}, {"A": ()})
+        cpt = np.array([row])
+        if accepted:
+            make({"A": cpt})
+        else:
+            with pytest.raises(ValueError, match="CPT rows must sum to 1"):
+                make({"A": cpt})
+
     def test_row_sums_checked(self):
         with pytest.raises(ValueError):
             BayesNet(

@@ -191,6 +191,8 @@ class TestBadInput:
              "{ddup_sidecar}: column 'a' repeats the label '0'"),
             (["citest", "--data", "{dlab}", "--x", "a", "--y", "b"],
              "{dlab_sidecar}: column 'b' label 1 must be a JSON string, got number"),
+            (["sample", "--bif", "{dup_bif}", "-n", "10", "--out", "{out}"],
+             "value 'x' listed twice for 'A' (line 1, column 39)"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
              "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
@@ -200,7 +202,7 @@ class TestBadInput:
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
              "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",
              "csv-domains-number", "csv-domains-array", "csv-domains-string", "csv-domains-repeat",
-             "csv-domains-label-number"],
+             "csv-domains-label-number", "sample-bif-repeated-label"],
     )
     def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
         inputs = {
@@ -213,6 +215,7 @@ class TestBadInput:
             "not_json.json": "",
             "sided.csv": "a,b\n0,1\n",
             "sided.domains": "{\n",
+            "dup.bif": "variable A { type discrete [ 2 ] { x, x }; }\nprobability ( A ) { table 0.5, 0.5; }\n",
             **{f"{k}.csv": "a,b\n0,1\n" for k in _SIDECARS},
             **{f"{k}.domains": text for k, text in _SIDECARS.items()},
         }
@@ -221,6 +224,7 @@ class TestBadInput:
         paths = {"short": tmp_path / "short.csv", "pdag": tmp_path / "bad.json", "out": tmp_path / "out",
                  "demo": workdir / "demo.csv", "bif": workdir / "demo.bif",
                  "sided": tmp_path / "sided.csv", "sidecar": tmp_path / "sided.domains",
+                 "dup_bif": tmp_path / "dup.bif",
                  **{k: tmp_path / f"{k}.json" for k in ("array", "no_nodes", "no_directed", "zz", "not_json")},
                  **{k: tmp_path / f"{k}.csv" for k in _SIDECARS},
                  **{f"{k}_sidecar": tmp_path / f"{k}.domains" for k in _SIDECARS}}
