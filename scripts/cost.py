@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import climb
-from climb.bench import _blankets, _streams, _truth_roles
+from climb.bench import _blankets, _roles, _samples
 from climb.netgen import alarm_network
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -205,11 +205,10 @@ def blanket(args) -> None:
     """
     net = alarm_network()
     dag = net.dag()
-    truth = {v: set().union(*_truth_roles(dag, v).values()) for v in net.nodes}
+    truth = {v: set().union(*_roles(dag, v).values()) for v in net.nodes}
     totals = {(m, n): {"logical": 0, "evaluated": 0, "seconds": 0.0, "f1": [], "capped": 0}
               for m in METHODS for n in args.sizes}
-    for n, _, rep_seed in _streams(args.seed, args.replicates, args.sizes):
-        data = climb.forward_sample(net, climb.SampleSpec(n, 0.0, rep_seed))
+    for n, _, _, data in _samples(net, args.sizes, args.replicates, args.seed):
         for method in METHODS:
             test = climb.make_test(data, method.split("_")[-1])
             cell = totals[method, n]

@@ -150,15 +150,27 @@ def _streams(seed: int, replicates: int, *axes: Iterable) -> Iterator[tuple]:
     return ((*cell, rep, derive_seed(seed, i)) for i, (*cell, rep) in grid)
 
 
-def _truth_roles(dag: PDag, v: str) -> dict[str, set[str]]:
-    """Parents, children and spouses of ``v`` along the directed edges of ``dag``."""
-    pa = dag.parents(v)
-    ch = dag.children(v)
-    sp: set[str] = set()
-    for c in ch:
-        sp |= dag.parents(c)
-    sp -= {v} | pa | ch
-    return {"parents": pa, "children": ch, "spouses": sp}
+def _samples(net: BayesNet, sizes: Sequence[int], replicates: int, seed: int) -> Iterator[tuple]:
+    """``(n, replicate, stream_seed, data)`` over :func:`_streams` of ``sizes``.
+
+    ``data`` holds ``n`` noise-free rows forward-sampled from ``net`` on the
+    replicate's stream. Fewer than one replicate is refused at the call.
+    """
+    return ((n, rep, rep_seed, forward_sample(net, SampleSpec(n, 0.0, rep_seed)))
+            for n, rep, rep_seed in _streams(seed, replicates, sizes))
+
+
+def _roles(g: PDag, v: str) -> dict[str, set[str]]:
+    """Role readout of ``v`` from a partial DAG.
+
+    Parents, children and spouses follow the directed edges of ``g``;
+    ``undecided`` holds the undirected neighbours in no other role, so it is
+    empty on a DAG.
+    """
+    pa, ch = g.parents(v), g.children(v)
+    sp = set().union(*(g.parents(c) for c in ch)) - {v} - pa - ch
+    return {"parents": pa, "children": ch, "spouses": sp,
+            "undecided": g.undirected_neighbors(v) - pa - ch - sp}
 
 
 # -- independence-test benchmark on the diamond fixture ----------------------
@@ -279,11 +291,10 @@ def run_mb_benchmark(
     is the logical count its own method issued, which sharing leaves alone.
     """
     dag = net.dag()
-    truth = {v: set().union(*_truth_roles(dag, v).values()) for v in net.nodes}
+    truth = {v: set().union(*_roles(dag, v).values()) for v in net.nodes}
     rows = []
     failures = []
-    for n, rep, rep_seed in _streams(seed, replicates, sizes):
-        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+    for n, rep, rep_seed, data in _samples(net, sizes, replicates, seed):
         testers: dict[str, IndependenceTest] = {}
         for method in methods:
             kind = method.split("_")[-1]
@@ -336,8 +347,7 @@ def run_partition_benchmark(
     dag = net.dag()
     rows = []
     failures = []
-    for n, rep, rep_seed in _streams(seed, replicates, sizes):
-        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
+    for n, rep, rep_seed, data in _samples(net, sizes, replicates, seed):
         idx = {v: i for i, v in enumerate(data.names)}
         accs = []
         for v in net.nodes:
@@ -361,13 +371,6 @@ def run_partition_benchmark(
 # -- directed (causal) blanket benchmark --------------------------------------
 
 
-def _extract_pc_roles(cpdag: PDag, v: str) -> dict[str, set[str]]:
-    """Role readout from a partial DAG; undirected neighbours stay undecided."""
-    roles = _truth_roles(cpdag, v)
-    roles["undecided"] = cpdag.undirected_neighbors(v) - set().union(*roles.values())
-    return roles
-
-
 def run_cmb_benchmark(
     net: BayesNet,
     sizes: Sequence[int],
@@ -379,12 +382,10 @@ def run_cmb_benchmark(
 ) -> ExperimentResult:
     """Role-sensitive blanket metrics: climb versus extraction from stable PC."""
     dag = net.dag()
-    truth = {v: _truth_roles(dag, v) for v in net.nodes}
+    truth = {v: _roles(dag, v) for v in net.nodes}
     rows = []
     failures = []
-    for n, rep, rep_seed in _streams(seed, replicates, sizes):
-        data = forward_sample(net, SampleSpec(n, 0.0, rep_seed))
-
+    for n, rep, rep_seed, data in _samples(net, sizes, replicates, seed):
         tester = make_test(data, "sci")
         pred_climb = _climb_sweep(net, data, tester, max_cond, cap, failures,
                                   n=n, replicate=rep, method="climb")
@@ -397,7 +398,7 @@ def run_cmb_benchmark(
         tester_pc = make_test(data, "g2", alpha=alpha)
         skel, seps = pc_stable_skeleton(data, tester_pc, max_cond)
         cpdag = orient_cpdag(skel, seps)
-        pred_pc = {v: _extract_pc_roles(cpdag, v) for v in net.nodes}
+        pred_pc = {v: _roles(cpdag, v) for v in net.nodes}
         p, r, f = mb_set_metrics(pred_pc, truth, roles=True)
         rows.append(
             {"n": n, "method": "pc", "replicate": rep, "seed": rep_seed,

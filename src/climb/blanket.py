@@ -135,6 +135,14 @@ def _half_pc(
     return cpc, sepsets
 
 
+def _check_search(table: CategoricalTable, test: IndependenceTest, max_cond: int) -> None:
+    """``ValueError`` unless ``max_cond >= 0`` and ``test`` answers from ``table`` itself."""
+    if max_cond < 0:
+        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
+    if test.table is not table:
+        raise ValueError("the test is bound to another table than the one searched")
+
+
 def find_pc(
     table: CategoricalTable,
     target: int,
@@ -156,8 +164,7 @@ def find_pc(
     non-member, a conditioning set that separated it from the target. The
     one-sided searches are memoised on ``test``: a repeat issues no query.
     """
-    if max_cond < 0:
-        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
+    _check_search(table, test, max_cond)
     cand, sepsets = _half_pc(table, target, test, max_cond)
     sepsets = dict(sepsets)
     pc = []
@@ -467,8 +474,7 @@ def pcmb(
     max_cond: int = 3,
 ) -> tuple[frozenset[int], int]:
     """Reference undirected Markov blanket; returns the set and its test count."""
-    if max_cond < 0:
-        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
+    _check_search(table, test, max_cond)
     start = test.count
 
     def get_pc(t: int) -> tuple[list[int], dict[int, frozenset[int]]]:

@@ -1,6 +1,7 @@
 """Command-line interface: tests, blanket discovery, graphs, sampling, benchmarks."""
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -62,8 +63,11 @@ def _out_dir(ctx: click.Context, param: click.Parameter, raw: str) -> str:
     return raw
 
 
-_out_dir_option = click.option("--out-dir", required=True, type=click.Path(), callback=_out_dir)
 _ints, _floats = _csv_list(int, "integers"), _csv_list(float, "numbers")
+_bif_option = click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
+_sizes_option = click.option("--sizes", default="1000,5000", callback=_ints)
+_max_cond_option = click.option("--max-cond", type=int, default=3)
+_seed_option = click.option("--seed", type=int, default=0)
 
 
 class _Cli(click.Group):
@@ -74,7 +78,7 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except KeyError as exc:
             _fail(exc.args[0])
-        except (ValueError, OSError, PartitionCapError) as exc:
+        except (ValueError, OSError, PartitionCapError, csv.Error) as exc:
             _fail(str(exc))
 
 
@@ -114,7 +118,7 @@ def citest(data_path, x_name, y_name, z_names, kind, alpha, cutoff) -> None:
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--target", required=True)
 @click.option("--test", "kind", type=click.Choice(["sci", "g2", "cmi"]), default="sci")
-@click.option("--max-cond", type=int, default=3)
+@_max_cond_option
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cutoff", type=float, default=0.0)
 @click.option("--cap", type=int, default=20)
@@ -139,7 +143,7 @@ def mb(data_path, target, kind, max_cond, alpha, cutoff, cap) -> None:
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--test", "kind", type=click.Choice(["sci", "g2"]), default="sci")
 @click.option("--alpha", type=float, default=0.01)
-@click.option("--max-cond", type=int, default=3)
+@_max_cond_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def pc(data_path, kind, alpha, max_cond, out_path) -> None:
     """Stable-PC skeleton plus collider and closure orientation."""
@@ -169,10 +173,10 @@ def orient(data_path, pdag_path, out_path) -> None:
 
 
 @main.command()
-@click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
+@_bif_option
 @click.option("-n", "n", required=True, type=int)
 @click.option("--noise", type=float, default=0.0)
-@click.option("--seed", type=int, default=0)
+@_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def sample(bif_path, n, noise, seed, out_path) -> None:
     """Forward-sample a BIF network to CSV (plus a .domains sidecar)."""
@@ -185,7 +189,7 @@ def sample(bif_path, n, noise, seed, out_path) -> None:
 @main.command("dsep-fixture")
 @click.option("-n", "n", required=True, type=int)
 @click.option("--noise", type=float, default=0.0)
-@click.option("--seed", type=int, default=0)
+@_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def dsep_fixture_cmd(n, noise, seed, out_path) -> None:
     """Sample the four-node diamond used by the independence benchmark."""
@@ -219,10 +223,24 @@ def _finish(out_dir: str, result) -> None:
         _fail(f"{len(result.failures)} recorded failures")
 
 
-@bench.command("dsep")
-@_out_dir_option
-@click.option("--replicates", type=int, default=50)
-@click.option("--seed", type=int, default=0)
+def _suite(name: str, replicates: int, *lead):
+    """Register ``climb bench NAME`` with the options every suite takes.
+
+    Its help lists ``--out-dir``, the ``lead`` options, ``--replicates``
+    (default ``replicates``) and ``--seed``, then the options decorated below.
+    """
+    shared = (click.option("--out-dir", required=True, type=click.Path(), callback=_out_dir), *lead,
+              click.option("--replicates", type=int, default=replicates), _seed_option)
+
+    def register(command):
+        for option in reversed(shared):
+            command = option(command)
+        return bench.command(name)(command)
+
+    return register
+
+
+@_suite("dsep", 50)
 @click.option("--sizes", default="100,500,2500", callback=_ints)
 @click.option("--noise", "noises", default="0,0.3,0.6", callback=_floats)
 @click.option("--tests", default="sci,g2,cmi")
@@ -233,47 +251,32 @@ def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -
     _finish(out_dir, run_dsep_benchmark(sizes, noises, replicates, kinds, seed, alpha, cutoff))
 
 
-@bench.command("mb")
-@_out_dir_option
-@click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
-@click.option("--replicates", type=int, default=5)
-@click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000", callback=_ints)
-@click.option("--max-cond", type=int, default=3)
+@_suite("mb", 5, _bif_option)
+@_sizes_option
+@_max_cond_option
 def bench_mb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
     _finish(out_dir, run_mb_benchmark(_load_net(bif_path), sizes, replicates,
                                       seed=seed, max_cond=max_cond))
 
 
-@bench.command("partition")
-@_out_dir_option
-@click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
-@click.option("--replicates", type=int, default=5)
-@click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000", callback=_ints)
+@_suite("partition", 5, _bif_option)
+@_sizes_option
 def bench_partition(out_dir, bif_path, replicates, seed, sizes) -> None:
     _finish(out_dir, run_partition_benchmark(_load_net(bif_path), sizes, replicates, seed=seed))
 
 
-@bench.command("cmb")
-@_out_dir_option
-@click.option("--bif", "bif_path", required=True, type=click.Path(exists=True))
-@click.option("--replicates", type=int, default=5)
-@click.option("--seed", type=int, default=0)
-@click.option("--sizes", default="1000,5000", callback=_ints)
-@click.option("--max-cond", type=int, default=3)
+@_suite("cmb", 5, _bif_option)
+@_sizes_option
+@_max_cond_option
 def bench_cmb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
     _finish(out_dir, run_cmb_benchmark(_load_net(bif_path), sizes, replicates,
                                        seed=seed, max_cond=max_cond))
 
 
-@bench.command("discovery")
-@_out_dir_option
-@click.option("--bif", "bif_paths", required=True, multiple=True, type=click.Path(exists=True))
-@click.option("--replicates", type=int, default=5)
-@click.option("--seed", type=int, default=0)
+@_suite("discovery", 5, click.option("--bif", "bif_paths", required=True, multiple=True,
+                                      type=click.Path(exists=True)))
 @click.option("-n", "n", type=int, default=5000)
-@click.option("--max-cond", type=int, default=3)
+@_max_cond_option
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cpdag", "cpdag_path", type=click.Path(exists=True), default=None,
               help="externally produced partial DAG (JSON) to orient as well")
@@ -288,10 +291,7 @@ def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cp
     _finish(out_dir, run_causal_discovery(nets, n, replicates, seed, max_cond, alpha, external))
 
 
-@bench.command("zero-baseline")
-@_out_dir_option
-@click.option("--replicates", type=int, default=100)
-@click.option("--seed", type=int, default=0)
+@_suite("zero-baseline", 100)
 @click.option("-n", "n", type=int, default=1000)
 @click.option("--ky-grid", default="1,4,16,64,256,1024", callback=_ints)
 def bench_zero_baseline(out_dir, replicates, seed, n, ky_grid) -> None:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import logging
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .blanket import Partition, score_partition
+from .blanket import Partition, _check_search, score_partition
 from .citests import IndependenceTest
 from .nml import RegretTable
 from .table import CategoricalTable
@@ -75,11 +75,6 @@ class PDag:
         self._und[b].discard(a)
         self._out[a].add(b)
         self._in[b].add(a)
-
-    def orient_force(self, a: str, b: str) -> None:
-        """Set the pair's mark to a -> b regardless of its current mark."""
-        self.remove_edge(a, b)
-        self.add_directed(a, b)
 
     def copy(self) -> "PDag":
         g = PDag(self.nodes)
@@ -219,8 +214,7 @@ def pc_stable_skeleton(
     that level (smallest test statistic, names breaking ties), which keeps
     downstream collider detection off spuriously-independent subsets.
     """
-    if max_cond < 0:
-        raise ValueError(f"max_cond must be >= 0, got {max_cond}")
+    _check_search(table, test, max_cond)
     names = table.names
     idx = {v: i for i, v in enumerate(names)}
     g = PDag(names)
@@ -296,7 +290,8 @@ def orient_cpdag(skeleton: PDag, sepsets: Mapping[frozenset[str], frozenset[str]
                         tail,
                         c,
                     )
-                    g.orient_force(tail, c)
+                    g.remove_edge(tail, c)
+                    g.add_directed(tail, c)
     _apply_closure_rules(g)
     return g
 
@@ -366,11 +361,9 @@ def climb_orient(
         )
         return score_partition(table, idx[v], part, regrets)
 
-    while True:
-        und = work.undirected_edges()
-        if not und:
-            break
-        a, b = und[0]
+    # orienting one pair leaves every other mark alone, so the pairs left
+    # undirected are always the tail of the sorted list taken here
+    for a, b in work.undirected_edges():
         # unresolved partners count as parents on both sides
         pa_a = work.parents(a) | work.undirected_neighbors(a) - {b}
         ch_a = work.children(a)
@@ -391,7 +384,7 @@ def climb_orient(
 
 
 def directed_edge_metrics(predicted: PDag, truth: PDag) -> tuple[float, float, float]:
-    """Precision, recall and F1 over directed edges only.
+    """Precision, recall and F1 over directed edges only, scored as :func:`set_metrics` scores sets.
 
     An edge counts as a true positive only when present with the correct
     orientation; undirected predicted edges never do.
@@ -400,11 +393,7 @@ def directed_edge_metrics(predicted: PDag, truth: PDag) -> tuple[float, float, f
         raise ValueError("graphs must share a node set")
     pred = set(predicted.directed_edges())
     true = set(truth.directed_edges())
-    tp = len(pred & true)
-    precision = tp / len(pred) if pred else (1.0 if not true else 0.0)
-    recall = tp / len(true) if true else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    return _prf(len(pred & true), len(pred), len(true))
 
 
 def _prf(tp: int, n_pred: int, n_true: int) -> tuple[float, float, float]:
@@ -429,34 +418,34 @@ def mb_set_metrics(
     predicted: Mapping[str, object],
     truth: Mapping[str, object],
     roles: bool = False,
-) -> tuple[float, float, float]:
-    """Per-target blanket metrics averaged over targets.
+) -> tuple[float, float, float] | tuple[None, None, None]:
+    """Per-target blanket metrics averaged over the targets of ``truth``.
 
     With ``roles=False`` the values are plain member sets. With
     ``roles=True`` they map role name to member set, a member counts only in
     its true role, and predicted members under extra roles (for instance
-    ``undecided``) count against precision but never match.
+    ``undecided``) count against precision but never match; extra truth
+    roles are ignored. With no target there is nothing to score, and all
+    three are ``None``.
     """
     ps, rs, fs = [], [], []
     for target in sorted(truth):
         true_val = truth[target]
-        pred_val = predicted.get(target, {} if roles else set())
+        pred_val = predicted.get(target, {})
         if roles:
             tp = sum(
                 len(set(pred_val.get(r, ())) & set(true_val.get(r, ()))) for r in _ROLES
             )
             n_pred = sum(len(v) for v in pred_val.values())
             n_true = sum(len(set(true_val.get(r, ()))) for r in _ROLES)
+            p, r, f = _prf(tp, n_pred, n_true)
         else:
-            tp = len(set(pred_val) & set(true_val))
-            n_pred = len(set(pred_val))
-            n_true = len(set(true_val))
-        p, r, f = _prf(tp, n_pred, n_true)
+            p, r, f = set_metrics(set(pred_val), set(true_val))
         ps.append(p)
         rs.append(r)
         fs.append(f)
     if not ps:
-        return 1.0, 1.0, 1.0
+        return None, None, None
     return sum(ps) / len(ps), sum(rs) / len(rs), sum(fs) / len(fs)
 
 

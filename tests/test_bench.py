@@ -178,12 +178,19 @@ class TestWriting:
         header = cpath.read_text().splitlines()[0]
         assert "accuracy_balanced" in header
 
-    @pytest.mark.parametrize("runner", ["mb", "partition"])
+    @pytest.mark.parametrize("runner", ["mb", "partition", "cmb"])
     def test_fully_capped_replicate_is_strict_json_null(self, tmp_path, runner):
         # cap 0 refuses every node whose found parents-and-children set is
-        # not empty; the mb run uses a net in which every node has a true
-        # neighbour, and at n = 600, seed 7 CLIMB finds one for every node
-        if runner == "mb":
+        # not empty; the mb and cmb runs use nets in which every node has a
+        # true neighbour, and at these sizes and seeds CLIMB finds one for
+        # every node; row 0 and aggregate 0 of cmb are its climb ones
+        if runner == "cmb":
+            net = random_net(5, 1.0, 3)
+            result = run_cmb_benchmark(net, (2000,), 1, seed=2, cap=0)
+            fields = ("f1", "precision", "recall")
+            assert result.rows[0]["method"] == "climb"
+            assert len(result.failures) == len(net.nodes)
+        elif runner == "mb":
             net = random_net(6, 0.5, seed=2)
             dag = net.dag()
             assert all(dag.parents(v) | dag.children(v) for v in net.nodes)

@@ -157,6 +157,17 @@ class TestFindPc:
             search(data, data.index_of("T"), test, max_cond=-1)
         assert test.count == 0
 
+    @pytest.mark.parametrize("search", [find_pc, pcmb, climb])
+    @pytest.mark.parametrize("other", [chain_net, blanket_demo_network], ids=["same-width", "other-width"])
+    def test_test_of_another_table_refused(self, search, other):
+        # a test answers from its own table: one bound to a table of the same
+        # width would silently answer for the wrong data
+        data = forward_sample(chain_net(), SampleSpec(500, 0.0, 24))
+        test = make_test(forward_sample(other(), SampleSpec(500, 0.0, 25)), "sci")
+        with pytest.raises(ValueError, match="bound to another table"):
+            search(data, data.index_of("T"), test)
+        assert test.count == 0
+
 
 class TestScorePartition:
     def test_empty_neighbourhood_is_unconditional_cost(self):

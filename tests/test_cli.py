@@ -193,6 +193,8 @@ class TestBadInput:
              "{dlab_sidecar}: column 'b' label 1 must be a JSON string, got number"),
             (["sample", "--bif", "{dup_bif}", "-n", "10", "--out", "{out}"],
              "value 'x' listed twice for 'A' (line 1, column 39)"),
+            (["citest", "--data", "{long_field}", "--x", "a", "--y", "b"],
+             "field larger than field limit (131072)"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
              "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
@@ -202,7 +204,7 @@ class TestBadInput:
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
              "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",
              "csv-domains-number", "csv-domains-array", "csv-domains-string", "csv-domains-repeat",
-             "csv-domains-label-number", "sample-bif-repeated-label"],
+             "csv-domains-label-number", "sample-bif-repeated-label", "csv-field-over-limit"],
     )
     def test_one_line_exit_2_nothing_written(self, workdir, tmp_path, command, message):
         inputs = {
@@ -216,6 +218,7 @@ class TestBadInput:
             "sided.csv": "a,b\n0,1\n",
             "sided.domains": "{\n",
             "dup.bif": "variable A { type discrete [ 2 ] { x, x }; }\nprobability ( A ) { table 0.5, 0.5; }\n",
+            "long_field.csv": "a,b\n0," + "1" * 140_000 + "\n",
             **{f"{k}.csv": "a,b\n0,1\n" for k in _SIDECARS},
             **{f"{k}.domains": text for k, text in _SIDECARS.items()},
         }
@@ -224,7 +227,7 @@ class TestBadInput:
         paths = {"short": tmp_path / "short.csv", "pdag": tmp_path / "bad.json", "out": tmp_path / "out",
                  "demo": workdir / "demo.csv", "bif": workdir / "demo.bif",
                  "sided": tmp_path / "sided.csv", "sidecar": tmp_path / "sided.domains",
-                 "dup_bif": tmp_path / "dup.bif",
+                 "dup_bif": tmp_path / "dup.bif", "long_field": tmp_path / "long_field.csv",
                  **{k: tmp_path / f"{k}.json" for k in ("array", "no_nodes", "no_directed", "zz", "not_json")},
                  **{k: tmp_path / f"{k}.csv" for k in _SIDECARS},
                  **{f"{k}_sidecar": tmp_path / f"{k}.domains" for k in _SIDECARS}}
@@ -258,7 +261,80 @@ class TestSampling:
         assert out.read_text().splitlines()[0] == "F,D,E,T"
 
 
+# `climb bench SUITE --help`: the suites share one declaration of their
+# common options, and each keeps its own option order and defaults
+_BENCH_HELP = {
+    "dsep": """\
+  --out-dir PATH        [required]
+  --replicates INTEGER
+  --seed INTEGER
+  --sizes TEXT
+  --noise TEXT
+  --tests TEXT
+  --alpha FLOAT
+  --cutoff FLOAT
+""",
+    "mb": """\
+  --out-dir PATH        [required]
+  --bif PATH            [required]
+  --replicates INTEGER
+  --seed INTEGER
+  --sizes TEXT
+  --max-cond INTEGER
+""",
+    "partition": """\
+  --out-dir PATH        [required]
+  --bif PATH            [required]
+  --replicates INTEGER
+  --seed INTEGER
+  --sizes TEXT
+""",
+    "cmb": """\
+  --out-dir PATH        [required]
+  --bif PATH            [required]
+  --replicates INTEGER
+  --seed INTEGER
+  --sizes TEXT
+  --max-cond INTEGER
+""",
+    "discovery": """\
+  --out-dir PATH        [required]
+  --bif PATH            [required]
+  --replicates INTEGER
+  --seed INTEGER
+  -n INTEGER
+  --max-cond INTEGER
+  --alpha FLOAT
+  --cpdag PATH          externally produced partial DAG (JSON) to orient as well
+""",
+    "zero-baseline": """\
+  --out-dir PATH        [required]
+  --replicates INTEGER
+  --seed INTEGER
+  -n INTEGER
+  --ky-grid TEXT
+""",
+}
+_BENCH_DEFAULTS = {
+    "dsep": {"replicates": 50, "seed": 0, "sizes": "100,500,2500"},
+    "mb": {"replicates": 5, "seed": 0, "sizes": "1000,5000", "max_cond": 3},
+    "partition": {"replicates": 5, "seed": 0, "sizes": "1000,5000"},
+    "cmb": {"replicates": 5, "seed": 0, "sizes": "1000,5000", "max_cond": 3},
+    "discovery": {"replicates": 5, "seed": 0, "max_cond": 3},
+    "zero-baseline": {"replicates": 100, "seed": 0},
+}
+
+
 class TestBench:
+    @pytest.mark.parametrize("suite", list(_BENCH_HELP))
+    def test_help_pinned(self, suite):
+        res = CliRunner().invoke(main, ["bench", suite, "--help"], prog_name="climb", terminal_width=80)
+        assert res.exit_code == 0
+        assert res.output == (f"Usage: climb bench {suite} [OPTIONS]\n\nOptions:\n{_BENCH_HELP[suite]}"
+                              "  --help                Show this message and exit.\n")
+        defaults = {p.name: p.default for p in main.commands["bench"].commands[suite].params}
+        assert _BENCH_DEFAULTS[suite].items() <= defaults.items()
+
     def test_dsep_bench_writes_files(self, tmp_path):
         res = run_cli(
             "bench", "dsep", "--out-dir", tmp_path, "--replicates", 2,

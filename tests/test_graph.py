@@ -195,6 +195,13 @@ class TestSkeleton:
             pc_stable_skeleton(data, test, max_cond=-1)
         assert test.count == 0
 
+    def test_test_of_another_table_refused(self):
+        data, other = self.sample(n=200), self.sample(seed=2, n=200)
+        test = make_test(other, "sci")
+        with pytest.raises(ValueError, match="bound to another table"):
+            pc_stable_skeleton(data, test)
+        assert test.count == 0
+
     def test_independent_columns_empty_graph(self):
         rng = np.random.default_rng(8)
         cols = [(f"c{i}", rng.integers(0, 3, 4000), 3) for i in range(4)]
@@ -337,6 +344,29 @@ class TestOrientation:
         assert pairs == {frozenset(("a", "c")), frozenset(("b", "c"))}
 
 
+def reference_climb_orient(pdag, table):
+    """``climb_orient``'s pair loop re-sorting the undirected edges before every pick."""
+    from climb.blanket import Partition, score_partition
+
+    idx = {v: i for i, v in enumerate(table.names)}
+    work = pdag.copy()
+
+    def cost(v, parents, children):
+        part = Partition(frozenset(idx[p] for p in parents), frozenset(idx[c] for c in children))
+        return score_partition(table, idx[v], part)
+
+    while work.undirected_edges():
+        a, b = work.undirected_edges()[0]
+        pa_a, ch_a = work.parents(a) | work.undirected_neighbors(a) - {b}, work.children(a)
+        pa_b, ch_b = work.parents(b) | work.undirected_neighbors(b) - {a}, work.children(b)
+        b_to_a = cost(a, pa_a | {b}, ch_a) + cost(b, pa_b, ch_b | {a})
+        if b_to_a < cost(a, pa_a, ch_a | {b}) + cost(b, pa_b | {a}, ch_b):
+            work.orient(b, a)
+        else:
+            work.orient(a, b)
+    return work
+
+
 class TestClimbOrient:
     def two_node_data(self, n=20000, seed=4):
         from climb.bif import BayesNet
@@ -390,6 +420,22 @@ class TestClimbOrient:
         g2.add_undirected("a", "b")
         assert climb_orient(g1, data) == climb_orient(g2, data)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_equals_resorting_reference(self, seed):
+        # random marks on random pairs, nodes listed in a shuffled order
+        net = random_net(9, 0.4, seed, card_range=(2, 3))
+        data = forward_sample(net, SampleSpec(800, 0.0, seed))
+        rng = np.random.default_rng(seed)
+        g = PDag(rng.permutation(net.nodes).tolist())
+        for a, b in combinations(net.nodes, 2):
+            mark = rng.choice(["none", "none", "fwd", "back", "und", "und"])
+            if mark == "und":
+                g.add_undirected(a, b)
+            elif mark != "none":
+                g.add_directed(*((a, b) if mark == "fwd" else (b, a)))
+        assert len(g.undirected_edges()) >= 5
+        assert climb_orient(g, data) == reference_climb_orient(g, data)
+
     def test_directed_part_preserved(self):
         data = self.two_node_data(2000)
         g = PDag(("A", "B"))
@@ -424,6 +470,13 @@ class TestMetrics:
         pred = PDag(("a", "b"))
         pred.add_undirected("a", "b")
         assert directed_edge_metrics(pred, truth) == (0.0, 0.0, 0.0)
+
+    def test_edgeless_truth(self):
+        truth = PDag(("a", "b"))
+        pred = PDag(("a", "b"))
+        pred.add_directed("a", "b")
+        assert directed_edge_metrics(pred, truth) == (0.0, 0.0, 0.0)
+        assert directed_edge_metrics(truth, truth) == (1.0, 1.0, 1.0)
 
     def test_set_metrics_conventions(self):
         assert set_metrics(set(), set()) == (1.0, 1.0, 1.0)
