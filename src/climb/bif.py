@@ -50,10 +50,11 @@ class BayesNet:
             cpt = self.cpts[v]
             if cpt.shape != (rows, k):
                 raise ValueError(f"{v}: CPT shape {cpt.shape} does not cover {rows} x {k}")
-            # np.allclose(row sums, 1.0, atol=1e-9) in one row-sized array; a NaN row fails it too
-            dev = cpt.sum(axis=1) - 1.0
-            if not (np.abs(dev, out=dev) <= 1e-9 + 1e-5).all():
-                raise ValueError(f"{v}: CPT rows must sum to 1")
+            # np.allclose(row sums, 1.0, atol=1e-9) a block of rows at a time; a NaN row fails it too
+            for start in range(0, rows, _BLOCK_ROWS):
+                dev = cpt[start:start + _BLOCK_ROWS].sum(axis=1) - 1.0
+                if not (np.abs(dev, out=dev) <= 1e-9 + 1e-5).all():
+                    raise ValueError(f"{v}: CPT rows must sum to 1")
             if cpt.size and cpt.min() < 0:  # every entry is finite here
                 raise ValueError(f"{v}: negative probability")
         dag = self.dag()
@@ -75,6 +76,11 @@ class BayesNet:
     def config_index(self, v: str, parent_codes: Sequence):
         """CPT row of v for parent codes given in declared order (ints or code vectors)."""
         return _config_index([self.card(p) for p in self.parents[v]], parent_codes)
+
+
+# rows of a table that are built, checked or normalised at once: the scratch
+# arrays stay a block's size, whatever the table's
+_BLOCK_ROWS = 1 << 14
 
 
 def _config_index(cards: Sequence[int], codes: Sequence):
@@ -322,7 +328,8 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
             f"row {bad} for {child!r} sums to {sums[bad]:.8f}, not 1", open_tok.line, open_tok.col
         )
     parents[child] = tuple(par)
-    cpts[child] = cpt / sums[:, None]  # exact row normalization after the tolerance check
+    cpt /= sums[:, None]  # exact row normalization after the tolerance check
+    cpts[child] = cpt
 
 
 def _ancestors(parents: dict, v: str) -> set[str]:

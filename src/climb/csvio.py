@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graph import _json_typed
-from .table import CategoricalTable
+from .table import CategoricalTable, _Handover
 
 __all__ = ["load_csv", "write_csv", "domains_path"]
 
@@ -93,8 +93,8 @@ def load_csv(path: str | Path) -> CategoricalTable:
             end = n + len(block)
             for j, fields in enumerate(zip(*block)):
                 buf, mapping = buffers[j], mappings[j]
-                if end > buf.size:  # doubled, so each row is copied a bounded number of times
-                    grown = np.empty(2 * buf.size, dtype=np.int64)
+                if end > buf.size:  # grown by half: each row is copied a bounded number of times, a third spare at most
+                    grown = np.empty(max(end, buf.size * 3 // 2), dtype=np.int64)
                     grown[:n] = buf[:n]
                     buf = buffers[j] = grown
                 coded = dict.fromkeys(fields)  # distinct raw fields, in row order
@@ -110,6 +110,7 @@ def load_csv(path: str | Path) -> CategoricalTable:
                     coded[raw] = code
                 buf[n:end] = np.fromiter(map(coded.__getitem__, fields), dtype=np.int64, count=len(block))
             n = end
+            del block  # its strings go before the next block is read
     if bad_sidecar is not None:
         raise bad_sidecar
     if absent:
@@ -120,7 +121,7 @@ def load_csv(path: str | Path) -> CategoricalTable:
         columns.append(buffers[j][:n].copy())
         buffers[j] = None  # trimmed one column at a time, so the spare capacity goes as it is copied
     cards = [len(domains[name]) if name in domains else max(len(mapping), 1) for name, mapping in zip(names, mappings)]
-    return CategoricalTable(tuple(names), tuple(columns), tuple(cards))
+    return CategoricalTable(tuple(names), _Handover(columns), tuple(cards))
 
 
 def write_csv(

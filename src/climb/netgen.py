@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .bif import BayesNet
+from .bif import _BLOCK_ROWS, BayesNet
 
 __all__ = ["alarm_network", "blanket_demo_network", "random_net", "random_cpts"]
 
@@ -99,27 +99,27 @@ _ALARM_CARDS: dict[str, int] = {
 }
 
 
-def _ensure_live_parents(peak: np.ndarray, parent_cards: tuple[int, ...], k: int) -> np.ndarray:
-    """Repair a dominant-category map so every parent actually matters.
+def _ensure_live_parents(peak: np.ndarray, parent_cards: tuple[int, ...], k: int) -> None:
+    """Repair a dominant-category map in place so every parent actually matters.
 
     A map that is constant along one parent's axis severs that edge from the
     generated distribution, so the graph would no longer be the ground truth
-    of its own data. Constant axes get one deterministic flip each.
+    of its own data. Constant axes get one deterministic flip each. An axis
+    is compared slab by slab with its first slab, up to the first difference.
     """
-    grid = peak.reshape(parent_cards).copy()
+    grid = peak.reshape(parent_cards)  # a view: the flips land in peak
     for _ in range(8):
         clean = True
         for ax, size in enumerate(parent_cards):
-            if size == 1:
+            slabs = np.moveaxis(grid, ax, 0)
+            if size == 1 or not all(np.array_equal(slabs[i], slabs[0]) for i in range(1, size)):
                 continue
-            if np.all(grid == np.take(grid, [0], axis=ax)):
-                cell = [0] * grid.ndim
-                cell[ax] = size - 1
-                grid[tuple(cell)] = (int(grid[tuple(cell)]) + 1) % k
-                clean = False
+            cell = [0] * grid.ndim
+            cell[ax] = size - 1
+            grid[tuple(cell)] = (int(grid[tuple(cell)]) + 1) % k
+            clean = False
         if clean:
             break
-    return grid.reshape(-1)
 
 
 def random_cpts(
@@ -135,21 +135,29 @@ def random_cpts(
     Each row mixes a uniform background with a point mass on a random
     dominant category. The mixing weight is drawn from ``strength`` per node
     and jittered by ``spread`` per row, so some mechanisms come out crisp and
-    others faint, as in hand-specified networks.
+    others faint, as in hand-specified networks. Draws and tables go a block
+    of rows at a time, so besides the tables only a block's scratch and each
+    row's dominant category, in the narrowest integer type, are held.
     """
     lo, hi = strength
     cpts: dict[str, np.ndarray] = {}
     for v in nodes:
         k = cards[v]
         rows = math.prod(cards[p] for p in parents[v])
-        peak = rng.integers(0, k, size=rows)
+        # block draws give the values and generator state of one draw
+        peak = np.empty(rows, dtype=np.min_scalar_type(k - 1))
+        for start in range(0, rows, _BLOCK_ROWS):
+            peak[start:start + _BLOCK_ROWS] = rng.integers(0, k, size=min(_BLOCK_ROWS, rows - start))
         if rows > 1 and k > 1:
-            peak = _ensure_live_parents(peak, tuple(cards[p] for p in parents[v]), k)
+            _ensure_live_parents(peak, tuple(cards[p] for p in parents[v]), k)
         base = rng.uniform(lo, hi)
-        w = np.clip(base + rng.uniform(-spread, spread, size=rows), 0.02, 0.98)
-        cpt = np.full((rows, k), (1.0 - w)[:, None] / k)
-        cpt[np.arange(rows), peak] += w
-        cpt /= cpt.sum(axis=1, keepdims=True)  # in place: one table-sized array per node
+        cpt = np.empty((rows, k))
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = cpt[start:start + _BLOCK_ROWS]
+            w = np.clip(base + rng.uniform(-spread, spread, size=block.shape[0]), 0.02, 0.98)
+            block[:] = (1.0 - w)[:, None] / k
+            block[np.arange(block.shape[0]), peak[start:start + _BLOCK_ROWS]] += w
+            block /= block.sum(axis=1, keepdims=True)
         cpts[v] = cpt
     return cpts
 

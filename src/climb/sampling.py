@@ -12,7 +12,7 @@ import numpy as np
 
 from .bif import BayesNet
 from .graph import PDag
-from .table import CategoricalTable
+from .table import CategoricalTable, _Handover
 
 __all__ = ["SampleSpec", "derive_seed", "forward_sample", "dsep_fixture"]
 
@@ -32,6 +32,8 @@ class SampleSpec:
             raise ValueError("sample count must be >= 0")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -53,11 +55,13 @@ def forward_sample(net: BayesNet, spec: SampleSpec) -> CategoricalTable:
     for v in order:
         k = net.card(v)
         cpt = net.cpts[v]
-        cum = np.cumsum(cpt, axis=1)
-        cum[:, -1] = 1.0
         cfg = net.config_index(v, [codes[p] for p in net.parents[v]])
+        # a row's cumsum is the same either way: a table with more rows than the
+        # sample sums only the n rows drawn, a smaller one each of its rows once
+        cum = np.cumsum(cpt[cfg], axis=-1) if cpt.shape[0] > n else np.cumsum(cpt, axis=1)[cfg]
+        cum[..., -1] = 1.0
         u = rng.random(n)
-        vals = (u[:, None] > cum[cfg]).sum(axis=1).astype(np.int64)
+        vals = (u[:, None] > cum).sum(axis=1).astype(np.int64)
         if spec.noise > 0.0:
             mask = rng.random(n) < spec.noise
             if mask.any():
@@ -65,7 +69,7 @@ def forward_sample(net: BayesNet, spec: SampleSpec) -> CategoricalTable:
         codes[v] = vals
     return CategoricalTable(
         names=net.nodes,
-        columns=tuple(codes[v] for v in net.nodes),
+        columns=_Handover(codes[v] for v in net.nodes),
         cards=tuple(net.card(v) for v in net.nodes),
     )
 

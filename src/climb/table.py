@@ -15,6 +15,10 @@ import numpy as np
 __all__ = ["CategoricalTable", "group_labels", "refine_labels"]
 
 
+class _Handover(tuple):
+    """Columns that nothing else holds: a table takes them over instead of copying them."""
+
+
 @dataclass(frozen=True)
 class CategoricalTable:
     """Immutable n x m table of category codes with declared cardinalities.
@@ -35,6 +39,7 @@ class CategoricalTable:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate column names")
         frozen = []
+        adopt = isinstance(self.columns, _Handover)
         n = None
         for name, col, card in zip(self.names, self.columns, self.cards):
             if card < 1:
@@ -48,7 +53,8 @@ class CategoricalTable:
                 raise ValueError("columns differ in length")
             if arr.size and (arr.min() < 0 or arr.max() >= card):
                 raise ValueError(f"column {name!r}: code outside [0, {card})")
-            arr = arr.copy()
+            if not adopt:
+                arr = arr.copy()
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "columns", tuple(frozen))

@@ -151,6 +151,8 @@ class TestBadInput:
             (["sample", "--bif", "{bif}", "-n", "10", "--noise", "3", "--out", "{out}"],
              "noise fraction must lie in [0, 1]"),
             (["dsep-fixture", "-n", "10", "--noise", "2", "--out", "{out}"], "noise fraction must lie in [0, 1]"),
+            (["sample", "--bif", "{bif}", "-n", "10", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+            (["dsep-fixture", "-n", "10", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
             (["bench", "dsep", "--out-dir", "{out}", "--sizes", "100,x"],
              "--sizes: expected comma-separated integers, got '100,x'"),
             (["bench", "dsep", "--out-dir", "{out}", "--noise", "0,x"],
@@ -197,7 +199,8 @@ class TestBadInput:
              "field larger than field limit (131072)"),
         ],
         ids=["citest-short-row", "pc-short-row", "orient-unknown-node", "sample-negative-n",
-             "sample-noise", "dsep-fixture-noise", "bench-dsep-sizes", "bench-dsep-noise",
+             "sample-noise", "dsep-fixture-noise", "sample-negative-seed", "dsep-fixture-negative-seed",
+             "bench-dsep-sizes", "bench-dsep-noise",
              "bench-dsep-sizes-empty", "bench-mb-sizes-empty", "bench-dsep-noise-empty",
              "bench-zero-baseline-ky-grid-empty",
              "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",

@@ -319,3 +319,12 @@ def test_load_peak_memory_is_bounded_by_the_codes(tmp_path):
         tracemalloc.stop()
     assert all(np.array_equal(x, y) for x, y in zip(back.columns, t.columns))
     assert peak < 3 * n * m * 8, f"peak {peak / (n * m * 8):.2f}x the codes' bytes"
+    # the table takes the loader's columns over: a copy of them would add 1x
+    assert peak < 1.8 * n * m * 8, f"peak {peak / (n * m * 8):.2f}x the codes' bytes"
+
+
+def test_table_keeps_its_own_copy_of_a_callers_columns():
+    col = np.array([0, 1, 1, 0])
+    t = CategoricalTable(("a",), (col,), (2,))
+    col[:] = 1
+    assert t.columns[0].tolist() == [0, 1, 1, 0] and not t.columns[0].flags.writeable

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -5,6 +7,7 @@ from scipy.stats import chisquare
 from climb.bif import BayesNet, exact_joint
 from climb.citests import CiQuery, sci
 from climb.graph import d_separated
+from climb.netgen import alarm_network, random_net
 from climb.sampling import SampleSpec, derive_seed, dsep_fixture, forward_sample
 
 
@@ -37,13 +40,58 @@ class TestSampleSpec:
             SampleSpec(-1)
         with pytest.raises(ValueError):
             SampleSpec(10, noise=1.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SampleSpec(10, 0.0, -1)
 
     def test_derive_seed_is_xor(self):
         assert derive_seed(0b1010, 0b0110) == 0b1100
         assert derive_seed(2 ** 63, 1) == 2 ** 63 + 1
 
 
+def _forward_sample_reference(net, spec):
+    """``forward_sample``'s columns as it drew them from a cumsum of each whole table, kept as the byte reference."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    codes = {}
+    for v in net.dag().topological_order():
+        cum = np.cumsum(net.cpts[v], axis=1)
+        cum[:, -1] = 1.0
+        cfg = net.config_index(v, [codes[p] for p in net.parents[v]])
+        u = rng.random(spec.n)
+        vals = (u[:, None] > cum[cfg]).sum(axis=1).astype(np.int64)
+        if spec.noise > 0.0:
+            mask = rng.random(spec.n) < spec.noise
+            if mask.any():
+                vals[mask] = rng.integers(0, net.card(v), size=int(mask.sum()))
+        codes[v] = vals
+    return [codes[v] for v in net.nodes]
+
+
 class TestForwardSample:
+    @pytest.mark.parametrize("n", [40, 3000])
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("net", [alarm_network, lambda: random_net(16, 0.4, 5, card_range=(1, 5))],
+                             ids=["alarm", "random"])
+    def test_bytes_match_the_whole_table_reference(self, net, noise, n):
+        net = net()
+        rows = [net.cpts[v].shape[0] for v in net.nodes]
+        # roots draw from their one row; at n = 40 some tables have more rows than the sample
+        assert min(rows) == 1 and (max(rows) > n) == (n == 40)
+        spec = SampleSpec(n, noise, 8)
+        got = forward_sample(net, spec)
+        for col, want in zip(got.columns, _forward_sample_reference(net, spec)):
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_sample_sized(self):
+        # dense-roles' net and sample size: a cumsum of every whole table would add 16 MB
+        net = random_net(40, 0.2, 3, card_range=(2, 4))
+        tracemalloc.start()
+        try:
+            forward_sample(net, SampleSpec(2000, 0.0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MiB beyond the net"
+
     def test_seed_determinism(self):
         net = two_node_net()
         a = forward_sample(net, SampleSpec(500, 0.25, 42))
