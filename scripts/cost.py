@@ -195,8 +195,8 @@ def blanket(args) -> None:
     The fixture is the alarm network sampled at n = 1000 and 5000, five
     replicates each from base seed 202, with the replicate streams of
     ``climb bench mb``. Every method runs over all 37 targets of a replicate
-    on a fresh test object of its own (the bench shares one per kind), so its
-    counts are its own. Per method and size the command prints logical tests
+    on a fresh test object of its own, as in the bench, so its counts are its
+    own. Per method and size the command prints logical tests
     (every query asked), evaluated tests (queries that computed a statistic,
     i.e. memo misses), seconds spent in the search and the mean undirected
     blanket F1 over targets and replicates. Sampling is not timed. A target

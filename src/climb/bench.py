@@ -286,22 +286,17 @@ def run_mb_benchmark(
 ) -> ExperimentResult:
     """Undirected-blanket F1 per node plus total independence-test counts.
 
-    Methods of one test kind share one test object per replicate, so a
-    verdict one method computed is a memo hit for the next. A row's ``tests``
-    is the logical count its own method issued, which sharing leaves alone.
+    Every method runs on a test object of its own per replicate, so a row's
+    ``tests`` (logical) and ``evaluated`` (memo misses) counts are its
+    method's alone and do not depend on the run order.
     """
     dag = net.dag()
     truth = {v: set().union(*_roles(dag, v).values()) for v in net.nodes}
     rows = []
     failures = []
     for n, rep, rep_seed, data in _samples(net, sizes, replicates, seed):
-        testers: dict[str, IndependenceTest] = {}
         for method in methods:
-            kind = method.split("_")[-1]
-            if kind not in testers:
-                testers[kind] = make_test(data, kind, alpha=alpha)
-            tester = testers[kind]
-            start = tester.count
+            tester = make_test(data, method.split("_")[-1], alpha=alpha)
             blankets = _blankets(method, net, data, tester, max_cond, cap, failures,
                                  n=n, replicate=rep, method=method)
             # per-node means in net.nodes order, over the nodes the cap let through
@@ -316,7 +311,8 @@ def run_mb_benchmark(
                     "f1": f1,
                     "precision": precision,
                     "recall": recall,
-                    "tests": tester.count - start,
+                    "tests": tester.count,
+                    "evaluated": tester.evaluated,
                     "failed_nodes": len(net.nodes) - len(blankets),
                 }
             )
@@ -392,7 +388,7 @@ def run_cmb_benchmark(
         p, r, f = mb_set_metrics(pred_climb, {v: truth[v] for v in pred_climb}, roles=True)
         rows.append(
             {"n": n, "method": "climb", "replicate": rep, "seed": rep_seed,
-             "precision": p, "recall": r, "f1": f, "tests": tester.count}
+             "precision": p, "recall": r, "f1": f, "tests": tester.count, "evaluated": tester.evaluated}
         )
 
         tester_pc = make_test(data, "g2", alpha=alpha)
@@ -402,7 +398,8 @@ def run_cmb_benchmark(
         p, r, f = mb_set_metrics(pred_pc, truth, roles=True)
         rows.append(
             {"n": n, "method": "pc", "replicate": rep, "seed": rep_seed,
-             "precision": p, "recall": r, "f1": f, "tests": tester_pc.count}
+             "precision": p, "recall": r, "f1": f, "tests": tester_pc.count,
+             "evaluated": tester_pc.evaluated}
         )
     config = {"net": net.name, "sizes": list(sizes), "replicates": replicates, "seed": seed,
               "max_cond": max_cond, "cap": cap, "alpha": alpha}
@@ -489,7 +486,13 @@ def run_zero_baseline(
     statistic is emitted alongside (``sci_symmetric``); with exact regret
     values its reverse direction turns positive once the Y domain
     approaches the sample count, so it is reported, not scored.
+
+    A ``k_y`` or ``kx`` below 1, or a negative ``n``, is refused with
+    ``ValueError`` at the call, before any replicate runs.
     """
+    for name, value, low in (("k_y", min(ky_grid, default=1), 1), ("kx", kx, 1), ("n", n, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rows = []
     for ky, rep, rep_seed in _streams(seed, replicates, ky_grid):
         rng = np.random.Generator(np.random.PCG64(rep_seed))

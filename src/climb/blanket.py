@@ -95,12 +95,7 @@ def _half_pc(
     newcomer, since every other subset was tried before; a separated member
     leaves with its sepset. So no subset of up to ``max_cond`` of the final
     set separates a member. A query's z lists members in joining order.
-
-    Memoised on ``test.pc_searches``, so a repeat on the same test is free.
     """
-    key = (target, max_cond)
-    if key in test.pc_searches:
-        return test.pc_searches[key]
     sepsets: dict[int, frozenset[int]] = {}
     ranked = []
     others = [v for v in range(table.m) if v != target]
@@ -131,7 +126,6 @@ def _half_pc(
                 cpc.remove(u)
                 sepsets[u] = sep
         cpc.append(v)
-    test.pc_searches[key] = cpc, sepsets
     return cpc, sepsets
 
 
@@ -141,6 +135,49 @@ def _check_search(table: CategoricalTable, test: IndependenceTest, max_cond: int
         raise ValueError(f"max_cond must be >= 0, got {max_cond}")
     if test.table is not table:
         raise ValueError("the test is bound to another table than the one searched")
+
+
+def _search(search: Callable, table: CategoricalTable, target: int, test: IndependenceTest,
+            max_cond: int) -> tuple[list[int], dict[int, frozenset[int]]]:
+    """``search(table, target, test, max_cond)``, memoised on ``test.pc_searches``.
+
+    The record under ``(search, target, max_cond)`` is ``(result, asked)``,
+    ``asked`` being the logical count the search added. A replay counts as
+    the rerun it stands for: a hit adds ``asked`` to ``test.count`` and
+    evaluates nothing, so every count is what the search would count with no
+    search memo, and the memo changes only time and ``test.evaluated``.
+    Callers must not mutate what it returns.
+    """
+    key = (search, target, max_cond)
+    record = test.pc_searches.get(key)
+    if record is None:
+        start = test.count
+        result = search(table, target, test, max_cond)
+        record = test.pc_searches[key] = result, test.count - start
+    else:
+        test.count += record[1]
+    return record[0]
+
+
+def _symmetric_pc(search: Callable, table: CategoricalTable, target: int, test: IndependenceTest,
+                  max_cond: int) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
+    """The candidates of ``search`` for ``target`` that the AND rule keeps.
+
+    A candidate stays only if the target is a candidate of its own search. A
+    dropped one takes its sepset from that search. Refuses what
+    :func:`_check_search` refuses before any query.
+    """
+    _check_search(table, test, max_cond)
+    cand, sepsets = _search(search, table, target, test, max_cond)
+    sepsets = dict(sepsets)
+    pc = []
+    for v in sorted(cand, key=lambda i: table.names[i]):
+        back, back_seps = _search(search, table, v, test, max_cond)
+        if target in back:
+            pc.append(v)
+        else:
+            sepsets[v] = back_seps.get(target, frozenset())
+    return frozenset(pc), sepsets
 
 
 def find_pc(
@@ -162,19 +199,10 @@ def find_pc(
     so ``target in find_pc(c)`` for every member ``c`` at the same test and
     ``max_cond``. Returns the adjacent variables and, for every screened
     non-member, a conditioning set that separated it from the target. The
-    one-sided searches are memoised on ``test``: a repeat issues no query.
+    one-sided searches are memoised on ``test`` (see :func:`_search`): a
+    repeat evaluates nothing.
     """
-    _check_search(table, test, max_cond)
-    cand, sepsets = _half_pc(table, target, test, max_cond)
-    sepsets = dict(sepsets)
-    pc = []
-    for v in sorted(cand, key=lambda i: table.names[i]):
-        back, back_seps = _half_pc(table, v, test, max_cond)
-        if target in back:
-            pc.append(v)
-        else:
-            sepsets[v] = back_seps.get(target, frozenset())
-    return frozenset(pc), sepsets
+    return _symmetric_pc(_half_pc, table, target, test, max_cond)
 
 
 def _check_members(table: CategoricalTable, target: int, members, what: str) -> None:
@@ -354,8 +382,9 @@ def climb(
     child whose own set lacks the target) never fires here, because
     :func:`find_pc` already keeps only symmetric members.
 
-    ``tests_performed`` counts the queries this call issued; searches that
-    an earlier call on the same test memoised issue none.
+    ``tests_performed`` counts the queries this call asks, a replayed search
+    as the rerun it stands for (see :func:`_search`), so it does not depend
+    on what ran earlier on the same test.
     A negative ``cap`` is refused with ``ValueError`` before any test runs.
     """
     if cap < 0:
@@ -409,19 +438,7 @@ def _get_pcd(
     test: IndependenceTest,
     max_cond: int,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """Candidate parents/children with per-round re-ranking (reference search).
-
-    Memoised on ``test.pc_searches`` under ``("pcd", target, max_cond)``. A
-    rerun would ask the same queries, every one a memo hit, so a hit adds
-    the first run's logical count to ``test.count``, evaluates nothing and
-    returns copies of the first run's result.
-    """
-    key = ("pcd", target, max_cond)
-    if key in test.pc_searches:
-        pcd, sepsets, asked = test.pc_searches[key]
-        test.count += asked
-        return list(pcd), dict(sepsets)
-    start = test.count
+    """Candidate parents/children with per-round re-ranking (reference search)."""
     names = table.names
     pcd: list[int] = []
     can = sorted((v for v in range(table.m) if v != target), key=lambda i: names[i])
@@ -463,7 +480,6 @@ def _get_pcd(
                 sepsets[v] = sep
         for v in drop:
             pcd.remove(v)
-    test.pc_searches[key] = list(pcd), dict(sepsets), test.count - start
     return pcd, sepsets
 
 
@@ -473,19 +489,13 @@ def pcmb(
     test: IndependenceTest,
     max_cond: int = 3,
 ) -> tuple[frozenset[int], int]:
-    """Reference undirected Markov blanket; returns the set and its test count."""
-    _check_search(table, test, max_cond)
+    """Reference undirected Markov blanket; returns the set and its test count.
+
+    The count is this call's, a replayed search counted as the rerun it
+    stands for (see :func:`_search`).
+    """
     start = test.count
-
-    def get_pc(t: int) -> tuple[list[int], dict[int, frozenset[int]]]:
-        cand, seps = _get_pcd(table, t, test, max_cond)
-        out = []
-        for v in sorted(cand, key=lambda i: table.names[i]):
-            back, _ = _get_pcd(table, v, test, max_cond)
-            if t in back:
-                out.append(v)
-        return out, seps
-
-    pc, sepsets = get_pc(target)
-    mb = frozenset(pc) | _spouses(table, target, test, pc, sepsets, pc, lambda y: get_pc(y)[0])
+    pc, sepsets = _symmetric_pc(_get_pcd, table, target, test, max_cond)
+    mb = pc | _spouses(table, target, test, pc, sepsets, pc,
+                       lambda y: _symmetric_pc(_get_pcd, table, y, test, max_cond)[0])
     return mb, test.count - start

@@ -357,10 +357,12 @@ class IndependenceTest:
     sets the order in which a statistic's terms are summed. The configuration
     is read-only, so a memoised verdict never outlives it.
 
-    ``pc_searches`` memoises :mod:`climb.blanket`'s one-sided searches by
-    ``(target, max_cond)``, and PCMB's candidate searches by ``("pcd",
-    target, max_cond)``. A search is a function of the verdicts it reads, so
-    it shares their scope: one table, one kind, one configuration.
+    ``pc_searches`` memoises :mod:`climb.blanket`'s candidate searches, CLIMB's
+    and PCMB's alike, as ``(result, asked)`` under ``(search, target,
+    max_cond)``. A replay counts as the rerun it stands for: it adds
+    ``asked`` to ``count`` and nothing to ``evaluated``. A search is a
+    function of the verdicts it reads, so it shares their scope: one table,
+    one kind, one configuration.
 
     The ``strength`` of a verdict orders dependence for search heuristics:
     larger means more dependent, whatever the underlying test reports.

@@ -243,11 +243,10 @@ def _suite(name: str, replicates: int, *lead):
 @_suite("dsep", 50)
 @click.option("--sizes", default="100,500,2500", callback=_ints)
 @click.option("--noise", "noises", default="0,0.3,0.6", callback=_floats)
-@click.option("--tests", default="sci,g2,cmi")
+@click.option("--tests", "kinds", default="sci,g2,cmi", callback=_csv_list(str.strip, "test kinds"))
 @click.option("--alpha", type=float, default=0.01)
 @click.option("--cutoff", type=float, default=0.0)
-def bench_dsep(out_dir, replicates, seed, sizes, noises, tests, alpha, cutoff) -> None:
-    kinds = tuple(t.strip() for t in tests.split(","))
+def bench_dsep(out_dir, replicates, seed, sizes, noises, kinds, alpha, cutoff) -> None:
     _finish(out_dir, run_dsep_benchmark(sizes, noises, replicates, kinds, seed, alpha, cutoff))
 
 

@@ -169,6 +169,17 @@ class TestReplicates:
             run(replicates)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"ky_grid": (4, 0)}, "k_y must be >= 1, got 0"), ({"kx": 0}, "kx must be >= 1, got 0"),
+     ({"n": -1}, "n must be >= 0, got -1")],
+    ids=["k_y", "kx", "n"],
+)
+def test_zero_baseline_refuses_a_bad_grid(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_zero_baseline(**{"ky_grid": (1,), "n": 100, "replicates": 1, **kwargs})
+
+
 class TestWriting:
     def test_files_and_json_shape(self, tmp_path):
         result = run_dsep_benchmark(ns=(100,), noises=(0.0,), replicates=2, seed=7)

@@ -8,8 +8,12 @@ failure rows and ``failed_nodes``, which the default settings never produce.
 ``mb_cap0`` was re-recorded when a replicate whose every node hits the cap
 began to score ``null`` instead of ``NaN``. ``mb``, ``mb_cap0``, ``mb_cap2`` and
 ``cmb`` were re-recorded when CLIMB's one-sided PC search began to grow and
-shrink in one pass, which moves blankets and test counts. Every other digest
-is the original.
+shrink in one pass, which moves blankets and test counts. The same four were
+re-recorded again when CLIMB and PCMB came to share one search-memo record,
+so that a replayed search counts as the rerun it stands for (CLIMB's
+``tests`` grow; no blanket of these fixtures moves), and when the ``mb`` and
+``cmb`` rows gained an ``evaluated`` count next to ``tests``. Every other
+digest is the original.
 """
 import hashlib
 import json
@@ -44,12 +48,12 @@ RUNS = {
 }
 
 GOLDEN = {
-    "cmb": "042001e1eca2e5c32617704ee8abbaae2055ffeaf8501a94dc7a9b5137cc9907",
+    "cmb": "d7afb2e8b5fc757523041f8f83547e9513cc48fe455993764e94ecd6df742bf5",
     "discovery": "0abe707260b92a23740642108dfd49a6b67dce1b75cd4063fd4decbe7e9c8b5b",
     "dsep": "7a8eca86772c95cc7ebc6df39890bec758b47401f43b691997b89da1f3c3e298",
-    "mb": "6ab311f4818ed563a6312f2ca19fe855976417b722c17e169c3a8929d19dca65",
-    "mb_cap0": "fbd98bd6c94bb31b3146d3be80a1de9f0294ee66ed7080bf11c85ca9d476d150",
-    "mb_cap2": "bd38400fdf9a412ff5b2df34dc82c827167d8221f2932685a88b65e95a23f5bc",
+    "mb": "4fd3ad59b31b3d62142d03d9e4b4c7e941a1f6c573c7663379416c2bc5cc0de1",
+    "mb_cap0": "b03255c9b06e30311949b2eef4f9ad76e68f9f403ee127bd7b9cf0edd75d4f01",
+    "mb_cap2": "f6e12df9ac9795dee0216e953121f58b931fddb4766dd15ee04bcaa5d2396abc",
     "partition": "7e3e2e31ddfe3be8e328023c20cdb69bb53ad14ea45110dff974b59a9c51a70e",
     "partition_cap2": "b28f65501ed3e858681b8ab85552fe1ef5d393f25d56d0deb6b2c637dee84252",
     "zero_baseline": "8e0e10ad0face433e950a86b89e9457b3ad1fe1f4656f9bba85471f792e8b426",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from climb import blanket
 from climb.bif import BayesNet
 from climb.blanket import (
     Partition,
@@ -92,12 +93,13 @@ class TestFindPc:
         assert seps[si] == frozenset()
 
     def test_cache_reuses_results(self):
+        # a repeat evaluates nothing, and counts as the rerun it stands for
         data = forward_sample(chain_net(), SampleSpec(4000, 0.0, 23))
         test = make_test(data, "sci")
-        find_pc(data, 1, test)
-        before = test.count
-        find_pc(data, 1, test)
-        assert test.count == before
+        first = find_pc(data, 1, test)
+        count, evaluated = test.count, test.evaluated
+        assert find_pc(data, 1, test) == first
+        assert (test.count, test.evaluated) == (2 * count, evaluated)
 
     def test_cache_keyed_by_max_cond(self):
         data = forward_sample(blanket_demo_network(), SampleSpec(3000, 0.0, 47))
@@ -474,21 +476,64 @@ class TestClimb:
         _, count = pcmb(data, data.index_of("T"), t2)
         assert res.tests_performed <= count
 
-    @pytest.mark.parametrize("kind", ["sci", "g2"])
-    def test_pcmb_rerun_replays_its_candidate_searches(self, kind):
+    @staticmethod
+    def _assert_rerun_replays(search, kind):
         # a rerun on the same test adds the count a search from the verdict
         # memo alone adds, and evaluates nothing
         data = forward_sample(blanket_demo_network(), SampleSpec(3000, 0.0, 42))
         target = data.index_of("T")
         memo, verdicts_only = make_test(data, kind), make_test(data, kind)
-        first = pcmb(data, target, memo)
-        assert ("pcd", target, 3) in memo.pc_searches
-        assert pcmb(data, target, verdicts_only) == first
+        first = search(data, target, memo)
+        assert search(data, target, verdicts_only) == first
         evaluated = memo.evaluated
         verdicts_only.pc_searches.clear()
-        again = pcmb(data, target, memo)
-        assert again == pcmb(data, target, verdicts_only) == first
+        again = search(data, target, memo)
+        assert again == search(data, target, verdicts_only) == first
         assert memo.evaluated == verdicts_only.evaluated == evaluated
+
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    def test_pcmb_rerun_replays_its_candidate_searches(self, kind):
+        self._assert_rerun_replays(pcmb, kind)
+
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    def test_climb_rerun_replays_its_candidate_searches(self, kind):
+        self._assert_rerun_replays(climb, kind)
+
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    @pytest.mark.parametrize("search", [climb, pcmb])
+    def test_search_memo_changes_no_result_or_count(self, search, kind, monkeypatch):
+        # every target on one shared test, on a test whose searches are
+        # cleared before each call, and with no search memo at all: the same
+        # blankets and the same count per call, whatever ran before
+        data = forward_sample(random_net(8, 0.4, 5, card_range=(2, 3)), SampleSpec(800, 0.0, 5))
+        shared, cleared = make_test(data, kind), make_test(data, kind)
+        got = [search(data, t, shared) for t in range(data.m)]
+        want = []
+        for t in range(data.m):
+            cleared.pc_searches.clear()
+            want.append(search(data, t, cleared))
+        assert got == want
+        monkeypatch.setattr(blanket, "_search", lambda run, table, target, test, max_cond:
+                            run(table, target, test, max_cond))
+        unmemoised = make_test(data, kind)
+        assert [search(data, t, unmemoised) for t in range(data.m)] == want
+        assert not unmemoised.pc_searches
+
+    def test_pcmb_spouse_test_conditions_on_the_dropped_candidates_sepset(self):
+        # VENTTUBE's candidate MINVOL (a child of its child VENTLUNG) fails
+        # the AND rule, and MINVOL's own search separated the pair by
+        # {INTUBATION, VENTLUNG}; with an empty sepset instead, the spouse
+        # test through VENTLUNG would keep MINVOL
+        net = alarm_network()
+        data = forward_sample(net, SampleSpec(1000, 0.0, 0))
+        test = make_test(data, "sci")
+        found = {v: {data.names[i] for i in pcmb(data, data.index_of(v), test)[0]} for v in net.nodes}
+        dag = net.dag()
+        true_mb = dag.parents("VENTTUBE") | dag.children("VENTTUBE")
+        true_mb |= {p for c in dag.children("VENTTUBE") for p in dag.parents(c)} - {"VENTTUBE"}
+        assert "MINVOL" not in true_mb
+        assert "MINVOL" not in found["VENTTUBE"]
+        assert found["VENTTUBE"] <= true_mb
 
     def test_cap_error_propagates(self):
         net = blanket_demo_network()

@@ -165,6 +165,11 @@ class TestBadInput:
              "--noise: expected comma-separated numbers, got ','"),
             (["bench", "zero-baseline", "--out-dir", "{out}", "--ky-grid", ","],
              "--ky-grid: expected comma-separated integers, got ','"),
+            (["bench", "zero-baseline", "--out-dir", "{out}", "--ky-grid", "0"], "k_y must be >= 1, got 0"),
+            (["bench", "zero-baseline", "--out-dir", "{out}", "--ky-grid", "4,-3"], "k_y must be >= 1, got -3"),
+            (["bench", "zero-baseline", "--out-dir", "{out}", "-n", "-1"], "n must be >= 0, got -1"),
+            (["bench", "dsep", "--out-dir", "{out}", "--tests", ","],
+             "--tests: expected comma-separated test kinds, got ','"),
             (["sample", "--bif", "{bif}", "-n", "10", "--out", "{out}/x.csv"],
              "[Errno 2] No such file or directory: '{out}/x.csv'"),
             (["bench", "dsep", "--out-dir", "{short}", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
@@ -202,7 +207,8 @@ class TestBadInput:
              "sample-noise", "dsep-fixture-noise", "sample-negative-seed", "dsep-fixture-negative-seed",
              "bench-dsep-sizes", "bench-dsep-noise",
              "bench-dsep-sizes-empty", "bench-mb-sizes-empty", "bench-dsep-noise-empty",
-             "bench-zero-baseline-ky-grid-empty",
+             "bench-zero-baseline-ky-grid-empty", "bench-zero-baseline-ky-zero",
+             "bench-zero-baseline-ky-negative", "bench-zero-baseline-negative-n", "bench-dsep-tests-empty",
              "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
              "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",

@@ -66,7 +66,7 @@ def test_blanket_figures(cost, capsys):
     ]
     rows = [line.split() for line in lines[2:]]
     assert [(r[0], r[1], r[2], r[3], r[5], r[6]) for r in rows] == [
-        ("climb_sci", "200", "1743", "1036", "0.581", "0"),
+        ("climb_sci", "200", "11056", "1036", "0.581", "0"),
         ("pcmb_sci", "200", "25754", "1081", "0.583", "0"),
         ("pcmb_g2", "200", "7594", "1478", "0.341", "0"),
     ]
