@@ -5,17 +5,20 @@ Each subcommand times one layer on fixed seeds and prints one row per
 setting; ``cost.py <layer> --help`` says what a row holds.
 
     ci         seconds per evaluated CI query, by test kind, |z|, batch size and n
+    orient     seconds per ``climb_orient`` on a random network's true skeleton, by n
     partition  seconds per subset of ``find_best_partition``, by |PC|
     blanket    tests, seconds and F1 of each blanket method on the ``mb`` fixture
 
-The ``ci`` and ``partition`` figures are also given in host-speed units: a
-run's seconds divided by the ``reference_s`` of ``perfbench/workloads.py``
-(a fixed mix of interpreter work and small numpy calls, taken as the faster
-of two back-to-back runs, as ``perfbench/run.py`` takes it), sampled before
-and after every run, times 1000. On a host whose speed drifts these compare
-across runs better than seconds do. Run from the repo root:
+The ``ci``, ``orient`` and ``partition`` figures are also given in
+host-speed units: a run's seconds divided by the ``reference_s`` of
+``perfbench/workloads.py`` (a fixed mix of interpreter work and small numpy
+calls, taken as the faster of two back-to-back runs, as ``perfbench/run.py``
+takes it), sampled before and after every run, times 1000 for ``ci`` and
+``partition``. On a host whose speed drifts these compare across runs
+better than seconds do. Run from the repo root:
 
     PYTHONPATH=src python scripts/cost.py ci [--sizes 1000,5000] [--against ROOT]
+    PYTHONPATH=src python scripts/cost.py orient [--sizes 5000] [--against ROOT]
     PYTHONPATH=src python scripts/cost.py partition [--sizes 6,10,12,14]
     PYTHONPATH=src python scripts/cost.py blanket [--sizes 1000,5000]
 """
@@ -92,18 +95,28 @@ def per_query(tree, data, kind: str, asked, regrets) -> tuple[float, float]:
     return spent / test.evaluated, ref / test.evaluated
 
 
-def column(trees, datas, kind: str, asked, cold: bool, warm_tables, repeats: int) -> str:
-    """One figure: this tree's, or with ``--against`` both trees' and their ratio."""
+def column(trees, measure, repeats: int, scale: float = 1e6, ref_scale: float = 1e3) -> str:
+    """One figure: this tree's, or with ``--against`` both trees' and their ratio.
+
+    ``measure(t)`` runs tree ``t`` once and returns its seconds and reference
+    units, which print times ``scale`` and ``ref_scale``.
+    """
     runs: list[list[tuple[float, float]]] = [[] for _ in trees]
     for r in range(repeats):
         for t in range(len(trees))[:: 1 if r % 2 == 0 else -1]:
-            regrets = trees[t].nml.RegretTable() if cold else warm_tables[t]
-            runs[t].append(per_query(trees[t], datas[t], kind, asked, regrets))
-    refs = [statistics.median(ref for _, ref in tree_runs) * 1e3 for tree_runs in runs]
+            runs[t].append(measure(t))
+    refs = [statistics.median(ref for _, ref in tree_runs) * ref_scale for tree_runs in runs]
     if len(trees) == 1:
-        return f"{statistics.median(s for s, _ in runs[0]) * 1e6:7.1f} ({refs[0]:6.2f})"
+        return f"{statistics.median(s for s, _ in runs[0]) * scale:7.1f} ({refs[0]:6.2f})"
     ratio = statistics.median(a[1] / b[1] for a, b in zip(*runs))
     return f"{refs[0]:6.2f} {refs[1]:6.2f} {ratio:5.2f}"
+
+
+def compared(against: Path | None, unit: str, ref_unit: str) -> tuple[list, str, int]:
+    """The trees to time, the unit line and the column width, with or without ``--against``."""
+    if against is None:
+        return [climb], f"{unit} ({ref_unit})", 16
+    return [climb, load_tree(against)], f"{ref_unit}: this tree, {against}, median ratio", 19
 
 
 def ci(args) -> None:
@@ -127,10 +140,7 @@ def ci(args) -> None:
     other). Two runs of the script, one per tree, do not cancel the host's
     drift for the small rows.
     """
-    trees, unit, pad = [climb], "us per query (1e-3 ref per query)", 16
-    if args.against is not None:
-        trees, pad = [climb, load_tree(args.against)], 19
-        unit = f"1e-3 ref per query: this tree, {args.against}, median ratio"
+    trees, unit, pad = compared(args.against, "us per query", "1e-3 ref per query")
     print(f"pairs = {args.pairs}, repeats = {args.repeats}; {unit}")
     print(f"{'kind':4} {'n':>5} {'|z|':>3} {'B':>3}  {'warm':>{pad}}  {'cold':>{pad}}")
     for n in args.sizes:
@@ -144,11 +154,56 @@ def ci(args) -> None:
                     for tree, data, table in zip(trees, datas, warm_tables):
                         per_query(tree, data, kind, asked, table)  # fills the warm table
                     cols = [
-                        column(trees, datas, kind, asked, cold, warm_tables, args.repeats)
+                        column(trees, lambda t: per_query(trees[t], datas[t], kind, asked,
+                                                          trees[t].nml.RegretTable() if cold else warm_tables[t]),
+                               args.repeats)
                         if kind == "sci" or not cold else "-".rjust(pad)
                         for cold in (False, True)
                     ]
                     print(f"{kind:4} {n:5d} {size:3d} {min(width, m - 1 - size):3d}  {cols[0]}  {cols[1]}")
+
+
+# -- orient ------------------------------------------------------------------
+
+
+def true_skeleton(tree, n: int):
+    """The orient network sampled at ``n`` rows (seed 0) by ``tree``'s own modules, and its skeleton."""
+    netgen = importlib.import_module(f"{tree.__name__}.netgen")
+    net = netgen.random_net(100, 0.04, 1, card_range=(2, 4))
+    skeleton = tree.PDag(net.nodes)
+    for a, b in net.dag().directed_edges():
+        skeleton.add_undirected(a, b)
+    return tree.forward_sample(net, tree.SampleSpec(n, 0.0, 0)), skeleton
+
+
+def orient(args) -> None:
+    """Cost of one ``climb_orient`` call on the true skeleton of a random network.
+
+    The network is ``random_net(100, 0.04, 1, card_range=(2, 4))``, the one
+    perfbench's ``random-pc`` orients, sampled at each ``--sizes`` n (seed
+    0); every edge of its DAG is left undirected, so each call prices every
+    edge. Every figure is the median over ``--repeats`` calls, in
+    milliseconds and in host-speed units. ``warm`` calls share a regret
+    table that one untimed call filled; ``cold`` calls each start from an
+    empty one, so they include the regret fill. ``--against ROOT`` compares
+    with the ``climb`` of another checkout, as ``ci`` does.
+    """
+    trees, unit, pad = compared(args.against, "ms per call", "ref per call")
+    print(f"repeats = {args.repeats}; {unit}")
+    print(f"{'n':>6}  {'warm':>{pad}}  {'cold':>{pad}}")
+    for n in args.sizes:
+        inputs = [true_skeleton(tree, n) for tree in trees]
+        warm_tables = [tree.nml.RegretTable() for tree in trees]
+        for tree, (data, skeleton), table in zip(trees, inputs, warm_tables):
+            tree.climb_orient(skeleton, data, table)  # fills the warm table
+
+        def call(t: int, cold: bool) -> tuple[float, float]:
+            data, skeleton = inputs[t]
+            regrets = trees[t].nml.RegretTable() if cold else warm_tables[t]
+            return timed(lambda: trees[t].climb_orient(skeleton, data, regrets))
+
+        cols = [column(trees, lambda t: call(t, cold), args.repeats, 1e3, 1.0) for cold in (False, True)]
+        print(f"{n:6d}  {cols[0]}  {cols[1]}")
 
 
 # -- partition ---------------------------------------------------------------
@@ -276,6 +331,9 @@ def parser() -> argparse.ArgumentParser:
     sub = layer(ci, "1000,5000", "comma-separated sample sizes")
     sub.add_argument("--pairs", default=100, type=count, help="(x, z) pairs per row")
     sub.add_argument("--repeats", default=5, type=count, help="timed runs per figure (and tree)")
+    sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
+    sub = layer(orient, "5000", "comma-separated sample sizes")
+    sub.add_argument("--repeats", default=5, type=count, help="timed calls per figure (and tree)")
     sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
     sub = layer(partition, "6,10,12,14", "comma-separated |PC| sizes", CAP)
     sub.add_argument("--repeats", default=5, type=count, help="timed searches per size")

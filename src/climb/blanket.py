@@ -235,17 +235,49 @@ def score_partition(
     if partition.parents & partition.children:
         raise ValueError("parents and children overlap")
     _check_members(table, target, partition.parents | partition.children, "partition")
-    pa = sorted(partition.parents)
-    ch = sorted(partition.children)
-    labels_pa, _ = group_labels(table, pa)
-    total = conditional_sc(table.columns[target], table.cards[target], labels_pa, regrets)
-    for p in pa:
-        total += stochastic_complexity(table.columns[p], table.cards[p], regrets)
-    if ch:
-        labels_t, _ = group_labels(table, [target])
-        for c in ch:
-            total += conditional_sc(table.columns[c], table.cards[c], labels_t, regrets)
-    return total
+    return _Terms(table, regrets).score(target, partition.parents, partition.children)
+
+
+class _Terms:
+    """The code-length terms of neighbourhoods on one table, each computed once.
+
+    A term is a column's code length alone, or given the joint values of
+    some columns. :meth:`score` sums one neighbourhood's terms in the order
+    :func:`score_partition` defines: the target given its parents, each
+    parent alone, each child given the target, parents and children in index
+    order. :func:`score_partition` prices one split through a fresh
+    instance; :func:`climb.graph.climb_orient` keeps one for its whole call,
+    so its totals are the same floats.
+    """
+
+    def __init__(self, table: CategoricalTable, regrets: RegretTable | None) -> None:
+        self._table = table
+        self._regrets = regrets
+        self._memo: dict[tuple[int, tuple[int, ...] | None], float] = {}
+
+    def _term(self, col: int, given: tuple[int, ...] | None) -> float:
+        """``col``'s code length alone (``given`` None), or given the joint values of ``given``."""
+        key = (col, given)
+        term = self._memo.get(key)
+        if term is None:
+            table = self._table
+            if given is None:
+                term = stochastic_complexity(table.columns[col], table.cards[col], self._regrets)
+            else:
+                labels, _ = group_labels(table, list(given))
+                term = conditional_sc(table.columns[col], table.cards[col], labels, self._regrets)
+            self._memo[key] = term
+        return term
+
+    def score(self, target: int, parents: Collection[int], children: Collection[int]) -> float:
+        """The total code length of ``target`` with these (disjoint, valid) parents and children."""
+        pa = sorted(parents)
+        total = self._term(target, tuple(pa))
+        for p in pa:
+            total += self._term(p, None)
+        for c in sorted(children):
+            total += self._term(c, (target,))
+        return total
 
 
 def _refined_terms(

@@ -74,11 +74,73 @@ class CiVerdict:
     p_value: float | None = None
 
 
+# words of scratch one AND + popcount pass may take (1 MiB of uint64)
+_SCRATCH_WORDS = 1 << 17
+
+
+def _bincounts(table: CategoricalTable, code: np.ndarray, cells: int, ys: Sequence[int],
+               width: int) -> np.ndarray:
+    """(B, cells · width) counts of ``code`` times ``width`` plus each y's column, one bincount per y.
+
+    ``code`` is scaled in place. A single bincount over all the ys needs a
+    (B, n) code array, whose three passes cost more.
+    """
+    code *= width
+    counts = np.empty((len(ys), cells * width), dtype=np.int64)
+    for b, y in enumerate(ys):
+        counts[b] = np.bincount(code + table.columns[y], minlength=cells * width)
+    return counts
+
+
+def _bit_counts(table: CategoricalTable, cols: tuple[int, ...], ys: Sequence[int], width: int,
+                scratch: int = _SCRATCH_WORDS) -> np.ndarray:
+    """The counts :func:`_bincounts` gives for the mixed-radix code of ``cols``, by AND + popcount.
+
+    The C cells of ``cols`` (first column most significant) get one bitset
+    each, the AND of their values' row bitsets (the table's ``_row_bits``);
+    a y's count in cell c and value v is then the popcount of cell c's
+    bitset AND value v's, summed over the words. That is C·ky·w words per y
+    against the n rows its bincount reads. The ys go in chunks and the words
+    in slices of at most 1023, so that one pass takes at most ``scratch``
+    words whenever one y's C·ky cells fit in it.
+    """
+    bits, cards = table._row_bits, table.cards
+    cells = bits[cols[0]]
+    words = cells.shape[1]
+    for c in cols[1:]:
+        cells = (cells[:, np.newaxis] & bits[c]).reshape(cells.shape[0] * cards[c], words)
+    kys = [cards[y] for y in ys]
+    # counted as (B, width, C), where y b's value v is row b · width + v
+    rows_of = [b * width + v for b, ky in enumerate(kys) for v in range(ky)]
+    counts = np.zeros((len(ys) * width, cells.shape[0]), dtype=np.int64)
+    per_word = cells.shape[0] * max(words, 1)
+    start = first = 0
+    while start < len(ys):
+        stop, rows = start + 1, kys[start]
+        while stop < len(ys) and per_word * (rows + kys[stop]) <= scratch:
+            rows += kys[stop]
+            stop += 1
+        # a lone y is read in place; a chunk's copy is within the scratch
+        ybits = bits[ys[start]] if stop == start + 1 else np.concatenate([bits[y] for y in ys[start:stop]])
+        # a slice's popcounts sum to at most 64 · 1023 < 2^16, exact in uint16
+        step = min(1023, max(1, scratch // (cells.shape[0] * rows)))
+        at = rows_of[first:first + rows]
+        for lo in range(0, words, step):
+            both = np.bitwise_count(ybits[:, np.newaxis, lo:lo + step] & cells[:, lo:lo + step])
+            part = np.add.reduce(both, axis=2, dtype=np.uint16)
+            if lo:
+                counts[at] += part
+            else:  # a plain store: most batches take one slice
+                counts[at] = part
+        start, first = stop, first + rows
+    return np.ascontiguousarray(counts.reshape(len(ys), width, -1).transpose(0, 2, 1))
+
+
 class _Given:
     """One (table, x, z) asked against a batch of ys, answered in one pass.
 
     The ys' counts form one (B, g, kx, K) array for B ys, K the widest
-    y-cardinality: row b is the bincount of the (z..., x) code times K plus
+    y-cardinality: row b counts the rows by the (z..., x) code times K plus
     y_b's column. A narrower y pads its cells with zeros. z-groups follow the
     lexicographic order of their values, as in
     :func:`climb.table.group_labels`, so every statistic sums its terms in
@@ -88,6 +150,13 @@ class _Given:
     realized z-groups only. Both give the same positive cells in the same
     order, so the widest y alone picks the code for the whole batch.
     :func:`_givens` splits the ys so that the padding stays bounded.
+
+    The counts are one bincount per y (:func:`_bincounts`), except for a
+    batch of B >= 2 ys under the cut with C · Σky <= 64 · B, C = Π k_z · kx
+    the number of (z..., x) cells: that batch is counted by AND + popcount
+    of the table's row bitsets (:func:`_bit_counts`), which pays below
+    C · ky = 64 because one word holds 64 rows. Both give the same integers
+    in the same layout.
 
     The z-group sizes and (z, x) cells are read off the first y's counts.
     SCI and CMI gather c·log₂c for every cell from
@@ -117,19 +186,16 @@ class _Given:
             radix_z *= cards[c]
         self._regrets = regrets
         width = max(self.kys)
-        if _countable(radix_z * kx * width, table.n):
-            code, radix = _dense_code(table, (*z, x))
-            groups = radix // kx
-        else:
+        if not _countable(radix_z * kx * width, table.n):
             labels, sizes = group_labels(table, list(z))
-            code, groups = labels * kx + table.columns[x], sizes.shape[0]
-        code *= width
-        cells = groups * kx * width
-        # one bincount per y, each over n values: a single bincount over all
-        # of them needs a (B, n) code array, whose three passes cost more
-        counts = np.empty((len(ys), cells), dtype=np.int64)
-        for b, y in enumerate(ys):
-            counts[b] = np.bincount(code + table.columns[y], minlength=cells)
+            groups = sizes.shape[0]
+            counts = _bincounts(table, labels * kx + table.columns[x], groups * kx, ys, width)
+        else:
+            groups = radix_z
+            if len(ys) > 1 and radix_z * kx * sum(self.kys) <= 64 * len(ys):
+                counts = _bit_counts(table, (*z, x), ys, width)
+            else:
+                counts = _bincounts(table, _dense_code(table, (*z, x))[0], radix_z * kx, ys, width)
         self.counts = counts.reshape(len(ys), groups, kx, width)
         self.zx = _row_sums(self.counts[0].ravel(), width)
         self.z_totals = _row_sums(self.zx, kx)

@@ -41,7 +41,11 @@ def _parse_names(table, raw: str) -> tuple[int, ...]:
 
 
 def _csv_list(kind: type, noun: str):
-    """Option callback: parse a comma-separated list of ``kind`` values, at least one."""
+    """Option callback: parse a comma-separated list of distinct ``kind`` values, at least one.
+
+    A repeated value would run its cell twice and fold both runs into one
+    aggregate, whose ``count`` would then be twice ``replicates``.
+    """
 
     def parse(ctx: click.Context, param: click.Parameter, raw: str) -> tuple:
         try:
@@ -50,6 +54,8 @@ def _csv_list(kind: type, noun: str):
             values = ()
         if not values:
             raise ValueError(f"{param.opts[0]}: expected comma-separated {noun}, got {raw!r}")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{param.opts[0]}: expected distinct {noun}, got {raw!r}")
         return values
 
     return parse

@@ -10,7 +10,8 @@ import logging
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .blanket import Partition, _check_search, score_partition
+from .blanket import _check_search, _Terms
+from .blanket import score_partition  # noqa: F401  (still importable from this module)
 from .citests import IndependenceTest
 from .nml import RegretTable
 from .table import CategoricalTable
@@ -347,19 +348,21 @@ def climb_orient(
     the input is preserved verbatim; a cycle through three or more nodes in
     the result is reported, not repaired. ``ValueError`` names the nodes of
     ``pdag`` that are not columns of ``table``, before any scoring.
+
+    Each term a score sums (a column alone, a child given the target, the
+    target given its parent set) is computed once per call and summed in
+    :func:`climb.blanket.score_partition`'s order (``blanket._Terms``), so
+    every score is the float ``score_partition`` gives.
     """
     idx = {v: i for i, v in enumerate(table.names)}
     missing = [v for v in pdag.nodes if v not in idx]
     if missing:
         raise ValueError(f"partial DAG nodes absent from the data: {', '.join(map(repr, missing))}")
     work = pdag.copy()
+    terms = _Terms(table, regrets)
 
     def node_cost(v: str, parents: set[str], children: set[str]) -> float:
-        part = Partition(
-            frozenset(idx[p] for p in parents),
-            frozenset(idx[c] for c in children),
-        )
-        return score_partition(table, idx[v], part, regrets)
+        return terms.score(idx[v], [idx[p] for p in parents], [idx[c] for c in children])
 
     # orienting one pair leaves every other mark alone, so the pairs left
     # undirected are always the tail of the sorted list taken here

@@ -8,6 +8,7 @@ of a variable's domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,33 @@ __all__ = ["CategoricalTable", "group_labels", "refine_labels"]
 
 class _Handover(tuple):
     """Columns that nothing else holds: a table takes them over instead of copying them."""
+
+
+class _RowBits(dict):
+    """Per column, one bitset of its rows per value, built on first use.
+
+    ``bits[col]`` is a (k, w) uint64 array, w = ⌈n / 64⌉: bit r of row v is
+    set when row r holds value v, and the bits past n are clear. A column
+    costs k·w words, k/64 of the column itself.
+    """
+
+    def __init__(self, columns: tuple[np.ndarray, ...], cards: tuple[int, ...]) -> None:
+        super().__init__()
+        self._columns = columns
+        self._cards = cards
+
+    def __missing__(self, col: int) -> np.ndarray:
+        column, card = self._columns[col], self._cards[col]
+        n = column.shape[0]
+        packed = np.zeros((card, 8 * -(-n // 64)), dtype=np.uint8)  # whole words of bytes
+        # a few values at a time, so that the (values, n) mask stays within 1 MiB
+        step = max(1, (1 << 20) // max(n, 1))
+        for v in range(0, card, step):
+            values = np.arange(v, min(v + step, card))[:, np.newaxis]
+            mask = np.packbits(column == values, axis=1, bitorder="little")
+            packed[v:v + step, :mask.shape[1]] = mask
+        self[col] = bits = packed.view(np.uint64)
+        return bits
 
 
 @dataclass(frozen=True)
@@ -60,6 +88,11 @@ class CategoricalTable:
         object.__setattr__(self, "columns", tuple(frozen))
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "cards", tuple(int(c) for c in self.cards))
+
+    @cached_property
+    def _row_bits(self) -> _RowBits:
+        """The row bitsets of every column, each built on its first use."""
+        return _RowBits(self.columns, self.cards)
 
     @property
     def n(self) -> int:

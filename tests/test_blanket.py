@@ -207,6 +207,27 @@ class TestScorePartition:
         b = score_partition(data, 0, Partition(frozenset({2, 1}), frozenset({4, 3})))
         assert a == b
 
+    def test_shared_terms_price_each_split_afresh(self):
+        # one _Terms across many splits, as climb_orient keeps it, gives every
+        # split the bits of its terms summed in score_partition's order
+        rng = np.random.default_rng(23)
+        cards = [2, 3, 4, 2, 3, 1]
+        data = CategoricalTable.from_columns([(f"v{i}", rng.integers(0, k, 300), k) for i, k in enumerate(cards)])
+        terms = blanket._Terms(data, None)
+        for _ in range(80):
+            target = int(rng.integers(0, len(cards)))
+            roles = rng.integers(0, 3, len(cards))  # 0: outside, 1: parent, 2: child
+            pa = [v for v in range(len(cards)) if v != target and roles[v] == 1]
+            ch = [v for v in range(len(cards)) if v != target and roles[v] == 2]
+            want = conditional_sc(data.columns[target], cards[target], group_labels(data, pa)[0])
+            for p in pa:
+                want += stochastic_complexity(data.columns[p], cards[p])
+            labels_t, _ = group_labels(data, [target])
+            for c in ch:
+                want += conditional_sc(data.columns[c], cards[c], labels_t)
+            assert terms.score(target, set(pa), set(ch)) == want
+            assert score_partition(data, target, Partition(frozenset(pa), frozenset(ch))) == want
+
     def test_rejects_overlap(self):
         data = forward_sample(chain_net(), SampleSpec(100, 0.0, 1))
         with pytest.raises(ValueError):

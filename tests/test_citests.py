@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climb.citests import CiQuery, _Given, _givens, g2_test, make_test, sci
+from climb import citests
+from climb.citests import (
+    _SCRATCH_WORDS,
+    CiQuery,
+    _bincounts,
+    _bit_counts,
+    _Given,
+    _givens,
+    g2_test,
+    make_test,
+    sci,
+)
 from climb.nml import RegretTable, shared_regrets
 from climb.sampling import SampleSpec, dsep_fixture
 from climb.table import CategoricalTable
@@ -443,6 +454,83 @@ class TestMany:
         tester = make_test(balanced_pair(16), "sci")
         assert tester.many(0, [], ()) == []
         assert (tester.count, tester.evaluated) == (0, 0)
+
+
+def _mixed_radix(t, cols):
+    """Each row's (cols...) cell, first column most significant, and the number of cells."""
+    code, cells = np.zeros(t.n, dtype=np.int64), 1
+    for c in cols:
+        code = code * t.cards[c] + t.columns[c]
+        cells *= t.cards[c]
+    return code, cells
+
+
+@st.composite
+def count_cases(draw):
+    """A table, an (x, z), a batch of ys of mixed cardinalities and a scratch size."""
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 1000]))
+    cards = draw(st.lists(st.integers(1, 5), min_size=3, max_size=9))
+    seed = draw(st.integers(0, 2 ** 31))
+    order = draw(st.permutations(range(len(cards))))
+    z = tuple(order[1:1 + draw(st.integers(0, min(3, len(cards) - 2)))])
+    free = order[1 + len(z):]
+    ys = draw(st.lists(st.sampled_from(free), min_size=1, max_size=12))
+    scratch = draw(st.sampled_from([1, 5, 64, 700, _SCRATCH_WORDS]))
+    return n, cards, seed, order[0], z, ys, scratch
+
+
+class TestBitCounts:
+    """AND + popcount of row bitsets counts what one bincount per y counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases())
+    def test_equals_bincounts(self, case):
+        n, cards, seed, x, z, ys, scratch = case
+        rng = np.random.default_rng(seed)
+        t = table_from([(f"c{i}", rng.integers(0, k, n), k) for i, k in enumerate(cards)])
+        code, cells = _mixed_radix(t, (*z, x))
+        width = max(cards[y] for y in ys)
+        want = _bincounts(t, code, cells, ys, width).reshape(len(ys), cells, width)
+        got = _bit_counts(t, (*z, x), ys, width, scratch)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_batch_across_a_chunk_boundary(self):
+        # 64 (z, x) cells over 16 words: 128 y-values fill the scratch, and
+        # 60 ys of 3 values take two chunks
+        rng = np.random.default_rng(3)
+        n = 1000
+        cols = [(f"c{i}", rng.integers(0, 4, n), 4) for i in range(3)]
+        cols += [(f"y{i}", rng.integers(0, 3, n), 3) for i in range(60)]
+        t = table_from(cols)
+        x, z, ys = 0, (1, 2), list(range(3, 63))
+        code, cells = _mixed_radix(t, (*z, x))
+        assert cells * 3 * 16 * len(ys) > _SCRATCH_WORDS >= cells * 3 * 16 * (len(ys) // 2)
+        want = _bincounts(t, code, cells, ys, 3).reshape(len(ys), cells, 3)
+        assert np.array_equal(_bit_counts(t, (*z, x), ys, 3), want)
+
+    def test_rule_picks_the_counter(self, monkeypatch):
+        # x has 2 values and the ys 3, 2, 4 and 2, so Σky = 11 for B = 4: at
+        # z = () C · Σky = 22 <= 64 · 4 takes the bitsets; at z = (1, 2) C is
+        # 32 and 352 > 256 keeps the bincounts, as does a lone y
+        rng = np.random.default_rng(8)
+        n = 500
+        t = table_from([(f"c{i}", rng.integers(0, k, n), k) for i, k in enumerate([2, 4, 4, 3, 2, 4, 2])])
+        x, ys = 0, [3, 4, 5, 6]
+        used = []
+        for name in ("_bincounts", "_bit_counts"):
+            real = getattr(citests, name)
+            monkeypatch.setattr(citests, name, lambda *args, name=name, real=real: used.append(name) or real(*args))
+        for z, counter in (((), "_bit_counts"), ((1, 2), "_bincounts")):
+            for kind in ("sci", "g2", "cmi"):
+                used.clear()
+                got = make_test(t, kind, regrets=RegretTable()).many(x, ys, z)
+                assert used == [counter]
+                want = [make_test(t, kind, regrets=RegretTable())(x, y, z) for y in ys]
+                assert [_verdict_bits(v) for v in got] == [_verdict_bits(v) for v in want]
+        used.clear()
+        make_test(t, "sci")(x, 3, ())
+        assert used == ["_bincounts"]
 
 
 def test_import_leaves_scipy_stats_unloaded():

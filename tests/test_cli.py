@@ -170,6 +170,16 @@ class TestBadInput:
             (["bench", "zero-baseline", "--out-dir", "{out}", "-n", "-1"], "n must be >= 0, got -1"),
             (["bench", "dsep", "--out-dir", "{out}", "--tests", ","],
              "--tests: expected comma-separated test kinds, got ','"),
+            (["bench", "dsep", "--out-dir", "{out}", "--sizes", "100,100"],
+             "--sizes: expected distinct integers, got '100,100'"),
+            (["bench", "mb", "--out-dir", "{out}", "--bif", "{bif}", "--sizes", "100,200,100"],
+             "--sizes: expected distinct integers, got '100,200,100'"),
+            (["bench", "dsep", "--out-dir", "{out}", "--noise", "0,0.0"],
+             "--noise: expected distinct numbers, got '0,0.0'"),
+            (["bench", "dsep", "--out-dir", "{out}", "--tests", "sci,g2, sci"],
+             "--tests: expected distinct test kinds, got 'sci,g2, sci'"),
+            (["bench", "zero-baseline", "--out-dir", "{out}", "--ky-grid", "4,4"],
+             "--ky-grid: expected distinct integers, got '4,4'"),
             (["sample", "--bif", "{bif}", "-n", "10", "--out", "{out}/x.csv"],
              "[Errno 2] No such file or directory: '{out}/x.csv'"),
             (["bench", "dsep", "--out-dir", "{short}", *_SMALL_DSEP], "--out-dir: {short} is not a directory"),
@@ -209,6 +219,8 @@ class TestBadInput:
              "bench-dsep-sizes-empty", "bench-mb-sizes-empty", "bench-dsep-noise-empty",
              "bench-zero-baseline-ky-grid-empty", "bench-zero-baseline-ky-zero",
              "bench-zero-baseline-ky-negative", "bench-zero-baseline-negative-n", "bench-dsep-tests-empty",
+             "bench-dsep-sizes-repeat", "bench-mb-sizes-repeat", "bench-dsep-noise-repeat",
+             "bench-dsep-tests-repeat", "bench-zero-baseline-ky-grid-repeat",
              "sample-out-missing-dir", "bench-out-dir-file", "bench-out-dir-under-file",
              "orient-json-array", "orient-no-nodes", "orient-no-directed", "orient-node-not-column",
              "orient-not-json", "bench-discovery-cpdag-array", "csv-domains-not-json",

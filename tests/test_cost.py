@@ -22,6 +22,7 @@ def cost():
         ("ci", {"sizes": [1000, 5000], "pairs": 100, "repeats": 5, "against": None}),
         ("partition", {"sizes": [6, 10, 12, 14], "repeats": 5}),
         ("blanket", {"sizes": [1000, 5000], "replicates": 5, "seed": 202}),
+        ("orient", {"sizes": [5000], "repeats": 5, "against": None}),
     ],
 )
 def test_options_and_defaults(cost, layer, defaults):
@@ -47,6 +48,8 @@ def test_options_and_defaults(cost, layer, defaults):
         (["blanket", "--replicates", "0"], "expected integers >= 1, got '0'"),
         (["blanket", "--seed", "x"], "invalid int value: 'x'"),
         ([], "the following arguments are required: layer"),
+        (["orient", "--sizes", "200,200"], "expected distinct integers, got '200,200'"),
+        (["orient", "--against", "{empty}"], "no src/climb package under {empty}"),
     ],
 )
 def test_bad_input_is_a_usage_error(cost, capsys, tmp_path, argv, message):
@@ -93,3 +96,15 @@ def test_ci_rows(cost, capsys):
     assert [row.split()[:4] for row in rows[:3]] == [["sci", "200", "0", "1"], ["sci", "200", "0", "8"],
                                                      ["sci", "200", "0", "36"]]
     assert all(row.endswith(" -") for row in rows if not row.startswith("sci"))
+
+
+def test_orient_rows(cost, capsys):
+    cost.main(["orient", "--sizes", "300,200", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "repeats = 1; ms per call (ref per call)",
+        "     n              warm              cold",
+    ]
+    assert [line.split()[0] for line in lines[2:]] == ["300", "200"]
+    figure = r" +[\d.]+ \( *[\d.]+\)"
+    assert all(re.fullmatch(r" +\d+ " + figure * 2, line) for line in lines[2:])

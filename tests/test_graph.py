@@ -345,7 +345,11 @@ class TestOrientation:
 
 
 def reference_climb_orient(pdag, table):
-    """``climb_orient``'s pair loop re-sorting the undirected edges before every pick."""
+    """``climb_orient``'s pair loop re-sorting the undirected edges before every pick.
+
+    Every neighbourhood is priced afresh by ``score_partition``, with no
+    terms kept between calls.
+    """
     from climb.blanket import Partition, score_partition
 
     idx = {v: i for i, v in enumerate(table.names)}
@@ -435,6 +439,18 @@ class TestClimbOrient:
                 g.add_directed(*((a, b) if mark == "fwd" else (b, a)))
         assert len(g.undirected_edges()) >= 5
         assert climb_orient(g, data) == reference_climb_orient(g, data)
+
+    @pytest.mark.parametrize("kind", ["sci", "g2"])
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_pc_output_equals_resorting_reference(self, kind, seed):
+        # what `climb pc` hands to `climb orient`: colliders directed, the rest
+        # undirected, so terms are shared between pairs and with the directed part
+        net = random_net(12, 0.3, seed, card_range=(2, 3))
+        data = forward_sample(net, SampleSpec(1500, 0.0, seed))
+        skel, seps = pc_stable_skeleton(data, make_test(data, kind), max_cond=2)
+        cpdag = orient_cpdag(skel, seps)
+        assert len(cpdag.undirected_edges()) >= 2 and cpdag.directed_edges()
+        assert climb_orient(cpdag, data) == reference_climb_orient(cpdag, data)
 
     def test_directed_part_preserved(self):
         data = self.two_node_data(2000)
