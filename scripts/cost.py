@@ -19,7 +19,7 @@ better than seconds do. Run from the repo root:
 
     PYTHONPATH=src python scripts/cost.py ci [--sizes 1000,5000] [--against ROOT]
     PYTHONPATH=src python scripts/cost.py orient [--sizes 5000] [--against ROOT]
-    PYTHONPATH=src python scripts/cost.py partition [--sizes 6,10,12,14]
+    PYTHONPATH=src python scripts/cost.py partition [--sizes 6,10,12,14] [--against ROOT]
     PYTHONPATH=src python scripts/cost.py blanket [--sizes 1000,5000]
 """
 import argparse
@@ -209,14 +209,14 @@ def orient(args) -> None:
 # -- partition ---------------------------------------------------------------
 
 
-def partition_table(members: int) -> climb.CategoricalTable:
-    """A target and ``members`` uniform columns of 2-4 values (numpy seed 0)."""
+def partition_table(tree, members: int):
+    """A target and ``members`` uniform columns of 2-4 values (numpy seed 0), as ``tree``'s table."""
     rng = np.random.default_rng(0)
     cols = []
     for i in range(1 + members):
         card = int(rng.integers(2, 5))
         cols.append((f"v{i:02d}", rng.integers(0, card, PARTITION_N), card))
-    return climb.CategoricalTable.from_columns(cols)
+    return tree.CategoricalTable.from_columns(cols)
 
 
 def partition(args) -> None:
@@ -228,16 +228,26 @@ def partition(args) -> None:
     median over ``--repeats`` searches of ``find_best_partition`` divided by
     its 2^k subsets, in microseconds and in 1e-3 host-speed units, with the
     regret table warmed by one untimed search first. Sizes above the search's
-    default cap are refused.
+    default cap are refused. ``--against ROOT`` compares with the ``climb``
+    of another checkout, as ``ci`` does.
     """
-    table = partition_table(max(args.sizes))
-    regrets = climb.RegretTable()
-    print(f"n = {PARTITION_N}, repeats = {args.repeats}")
+    trees, unit, _ = compared(args.against, "us per subset", "1e-3 ref per subset")
+    tables = [partition_table(tree, max(args.sizes)) for tree in trees]
+    regrets = [tree.RegretTable() for tree in trees]
+    print(f"n = {PARTITION_N}, repeats = {args.repeats}" + (f"; {unit}" if args.against else ""))
     for k in args.sizes:
         pc = set(range(1, k + 1))
-        climb.find_best_partition(table, 0, pc, regrets=regrets)  # warms the regret table
-        runs = [timed(lambda: climb.find_best_partition(table, 0, pc, regrets=regrets)) for _ in range(args.repeats)]
-        spent, ref = (statistics.median(run) / 2 ** k for run in zip(*runs))
+
+        def search(t: int) -> tuple[float, float]:
+            spent, ref = timed(lambda: trees[t].find_best_partition(tables[t], 0, pc, regrets=regrets[t]))
+            return spent / 2 ** k, ref / 2 ** k
+
+        for t in range(len(trees)):
+            search(t)  # warms the regret table
+        if args.against:
+            print(f"|PC| = {k:2d}: {column(trees, search, args.repeats)}")
+            continue
+        spent, ref = (statistics.median(run) for run in zip(*(search(0) for _ in range(args.repeats))))
         print(f"|PC| = {k:2d}: {spent * 1e6:7.1f} us ({ref * 1e3:6.3f} 1e-3 ref) per subset")
 
 
@@ -336,7 +346,8 @@ def parser() -> argparse.ArgumentParser:
     sub.add_argument("--repeats", default=5, type=count, help="timed calls per figure (and tree)")
     sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
     sub = layer(partition, "6,10,12,14", "comma-separated |PC| sizes", CAP)
-    sub.add_argument("--repeats", default=5, type=count, help="timed searches per size")
+    sub.add_argument("--repeats", default=5, type=count, help="timed searches per size (and tree)")
+    sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
     sub = layer(blanket, "1000,5000", "comma-separated sample sizes")
     sub.add_argument("--replicates", default=5, type=count, help="replicates per size")
     sub.add_argument("--seed", default=202, type=int, help="base seed of the replicate streams")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -150,6 +151,18 @@ def _streams(seed: int, replicates: int, *axes: Iterable) -> Iterator[tuple]:
     return ((*cell, rep, derive_seed(seed, i)) for i, (*cell, rep) in grid)
 
 
+def _distinct(**params: Iterable) -> None:
+    """Refuse, with ``ValueError``, a value that one of ``params`` lists twice.
+
+    A repeated value would run its cell twice and fold both runs into one
+    aggregate, whose ``count`` would then be twice ``replicates``.
+    """
+    for param, values in params.items():
+        for value, times in Counter(values).items():
+            if times > 1:
+                raise ValueError(f"{param}: {value!r} appears more than once")
+
+
 def _samples(net: BayesNet, sizes: Sequence[int], replicates: int, seed: int) -> Iterator[tuple]:
     """``(n, replicate, stream_seed, data)`` over :func:`_streams` of ``sizes``.
 
@@ -191,8 +204,11 @@ def run_dsep_benchmark(
     the two middle nodes) and two true-dependence checks. Rows carry each
     indicator, their plain mean, and the balanced accuracy (independence
     check and dependence checks weighted equally), plus TPR/FPR so any
-    aggregation convention can be read off.
+    aggregation convention can be read off. A value repeated in ``ns``,
+    ``noises`` or ``tests`` is refused with ``ValueError`` before any
+    replicate runs.
     """
+    _distinct(ns=ns, noises=noises, tests=tests)
     rows = []
     for n, noise, rep, rep_seed in _streams(seed, replicates, ns, noises):
         table, _ = dsep_fixture(SampleSpec(n, noise, rep_seed))
@@ -288,8 +304,11 @@ def run_mb_benchmark(
 
     Every method runs on a test object of its own per replicate, so a row's
     ``tests`` (logical) and ``evaluated`` (memo misses) counts are its
-    method's alone and do not depend on the run order.
+    method's alone and do not depend on the run order. A value repeated in
+    ``sizes`` or ``methods`` is refused with ``ValueError`` before any
+    replicate runs.
     """
+    _distinct(sizes=sizes, methods=methods)
     dag = net.dag()
     truth = {v: set().union(*_roles(dag, v).values()) for v in net.nodes}
     rows = []
@@ -339,7 +358,11 @@ def run_partition_benchmark(
     seed: int = 0,
     cap: int = 20,
 ) -> ExperimentResult:
-    """Role accuracy when the true parents-and-children set is given."""
+    """Role accuracy when the true parents-and-children set is given.
+
+    A repeated size is refused with ``ValueError`` before any replicate runs.
+    """
+    _distinct(sizes=sizes)
     dag = net.dag()
     rows = []
     failures = []
@@ -376,7 +399,11 @@ def run_cmb_benchmark(
     cap: int = 20,
     alpha: float = 0.01,
 ) -> ExperimentResult:
-    """Role-sensitive blanket metrics: climb versus extraction from stable PC."""
+    """Role-sensitive blanket metrics: climb versus extraction from stable PC.
+
+    A repeated size is refused with ``ValueError`` before any replicate runs.
+    """
+    _distinct(sizes=sizes)
     dag = net.dag()
     truth = {v: _roles(dag, v) for v in net.nodes}
     rows = []
@@ -487,9 +514,10 @@ def run_zero_baseline(
     values its reverse direction turns positive once the Y domain
     approaches the sample count, so it is reported, not scored.
 
-    A ``k_y`` or ``kx`` below 1, or a negative ``n``, is refused with
-    ``ValueError`` at the call, before any replicate runs.
+    A ``k_y`` or ``kx`` below 1, a negative ``n`` or a repeated ``k_y`` is
+    refused with ``ValueError`` at the call, before any replicate runs.
     """
+    _distinct(ky_grid=ky_grid)
     for name, value, low in (("k_y", min(ky_grid, default=1), 1), ("kx", kx, 1), ("n", n, 0)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")

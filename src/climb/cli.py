@@ -10,6 +10,7 @@ from typing import NoReturn
 import click
 
 from .bench import (
+    _distinct,
     run_causal_discovery,
     run_cmb_benchmark,
     run_dsep_benchmark,
@@ -287,6 +288,8 @@ def bench_cmb(out_dir, bif_path, replicates, seed, sizes, max_cond) -> None:
               help="externally produced partial DAG (JSON) to orient as well")
 def bench_discovery(out_dir, bif_paths, replicates, seed, n, max_cond, alpha, cpdag_path) -> None:
     nets = [_load_net(p) for p in bif_paths]
+    # rows, aggregates and --cpdag go by network name
+    _distinct(**{"--bif network name": (net.name for net in nets)})
     external = None
     if cpdag_path:
         graph = _load_pdag(cpdag_path)

@@ -20,11 +20,12 @@ whatever was asked before, so values are bit-identical to a full fill.
 ``RegretTable.filled_upto(k)`` is the number of entries computed for k,
 minus one.
 
-Every code length here ends in one formula, ``_code_bits``: over the groups
-of a conditioning partition, the sum of h·log2(h) over the group sizes,
-minus the sum of c·log2(c) over the column's positive cells, plus the
-log-regret of each group, always with the column's full declared
-cardinality. The stochastic complexity of a column is its one-group case.
+Every code length here is :func:`conditional_sc`, a column over a grouping
+of the rows, and ends in one formula, ``_code_bits``: over the groups, the
+sum of h·log2(h) over the group sizes, minus the sum of c·log2(c) over the
+column's positive cells, plus the log-regret of each group, always with
+the column's full declared cardinality. The stochastic complexity of a
+column is the one-group case, and :func:`delta` the regrets alone.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ __all__ = [
     "RegretTable",
     "shared_regrets",
     "plugin_entropy",
-    "regret_sum",
     "stochastic_complexity",
     "conditional_sc",
     "delta",
@@ -261,11 +261,6 @@ def _row_sums(cells: np.ndarray, width: int) -> np.ndarray:
     return sums
 
 
-def regret_sum(card: int, sizes: np.ndarray, regrets: RegretTable | None = None) -> float:
-    """Sum of the log2-regrets of ``card`` values over groups of the given sizes."""
-    return float((regrets or _SHARED).log_regret_many(card, sizes).sum())
-
-
 def _code_bits(xlog: np.ndarray, cells: np.ndarray, sizes: np.ndarray, card: int,
                regrets: RegretTable | None) -> float:
     """Code length in bits of a column over groups, from its counts.
@@ -276,20 +271,15 @@ def _code_bits(xlog: np.ndarray, cells: np.ndarray, sizes: np.ndarray, card: int
     in array order; the regrets are those of ``card`` values per group.
     """
     data = float(xlog[sizes].sum()) - float(xlog[cells[cells > 0]].sum())
-    return data + regret_sum(card, sizes, regrets)
+    return data + float((regrets or _SHARED).log_regret_many(card, sizes).sum())
 
 
 def stochastic_complexity(x: np.ndarray, card: int, regrets: RegretTable | None = None) -> float:
     """Code length in bits of a code vector under its declared domain size.
 
-    The one-group case of :func:`conditional_sc`, and equal to it bit for bit.
+    :func:`conditional_sc` over one group of all rows.
     """
-    x = np.asarray(x, dtype=np.int64)
-    n = x.shape[0]
-    if n == 0 or card == 1:
-        return 0.0
-    counts = np.bincount(x, minlength=card)
-    return _code_bits(_count_bits_table(n), counts, np.array([n]), card, regrets)
+    return conditional_sc(x, card, np.zeros(np.shape(x)[0], dtype=np.int64), regrets)
 
 
 def conditional_sc(
@@ -320,4 +310,4 @@ def delta(card: int, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0 or card == 1:
         return 0.0
-    return regret_sum(card, np.bincount(labels))
+    return float(_SHARED.log_regret_many(card, np.bincount(labels)).sum())

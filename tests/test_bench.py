@@ -169,6 +169,36 @@ class TestReplicates:
             run(replicates)
 
 
+class TestRepeatedValues:
+    """A repeated grid value would fold two runs of its cell into one aggregate."""
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda: run_dsep_benchmark((100, 100), (0.0,), 2, ("sci",)), "ns: 100 appears more than once"),
+            (lambda: run_dsep_benchmark((100,), (0.0, 0.3, 0.0), 2), "noises: 0.0 appears more than once"),
+            (lambda: run_dsep_benchmark((100,), (0.0,), 2, ("sci", "sci")),
+             "tests: 'sci' appears more than once"),
+            (lambda: run_mb_benchmark(blanket_demo_network(), (300, 300), 1), "sizes: 300 appears more than once"),
+            (lambda: run_mb_benchmark(blanket_demo_network(), (300,), 1, methods=("climb_sci", "climb_sci")),
+             "methods: 'climb_sci' appears more than once"),
+            (lambda: run_partition_benchmark(blanket_demo_network(), (200, 200), 1),
+             "sizes: 200 appears more than once"),
+            (lambda: run_cmb_benchmark(blanket_demo_network(), (200, 200), 1), "sizes: 200 appears more than once"),
+            (lambda: run_zero_baseline((4, 4), n=50, replicates=2), "ky_grid: 4 appears more than once"),
+        ],
+        ids=["dsep-ns", "dsep-noises", "dsep-tests", "mb-sizes", "mb-methods", "partition-sizes",
+             "cmb-sizes", "zero-baseline-ky-grid"],
+    )
+    def test_refused_before_any_replicate(self, monkeypatch, run, message):
+        def no_stream(*args):
+            raise AssertionError("a replicate stream was drawn")
+
+        monkeypatch.setattr("climb.bench.derive_seed", no_stream)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run()
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [({"ky_grid": (4, 0)}, "k_y must be >= 1, got 0"), ({"kx": 0}, "kx must be >= 1, got 0"),

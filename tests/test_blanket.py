@@ -309,6 +309,23 @@ class TestFindBestPartition:
         with pytest.raises(ValueError, match=message):
             find_best_partition(data, 0, {1, 2, bad})
 
+    def test_groups_rows_once_per_conditioning_set(self, monkeypatch):
+        # the member and root terms share two groupings, () and (target,);
+        # the walk refines, it never groups from scratch
+        rng = np.random.default_rng(8)
+        data = CategoricalTable.from_columns([(f"v{i}", rng.integers(0, 3, 300), 3) for i in range(6)])
+        grouped = []
+
+        def traced(table, cols):
+            grouped.append(tuple(cols))
+            return group_labels(table, cols)
+
+        monkeypatch.setattr(blanket, "group_labels", traced)
+        want = find_best_partition(data, 2, {0, 1, 3, 4, 5})
+        assert sorted(grouped) == [(), (2,)]
+        monkeypatch.undo()
+        assert find_best_partition(data, 2, {0, 1, 3, 4, 5}) == want
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(21)
         base = [("T", rng.integers(0, 2, 400), 2)] + [

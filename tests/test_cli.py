@@ -392,6 +392,18 @@ class TestBench:
         )
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("second", ["same-file", "same-name"])
+    def test_discovery_refuses_a_repeated_network_name(self, workdir, tmp_path, second):
+        bif, copy = workdir / "demo.bif", tmp_path / "copy.bif"
+        copy.write_bytes(bif.read_bytes())
+        other = bif if second == "same-file" else copy
+        res = CliRunner().invoke(main, ["bench", "discovery", "--out-dir", str(tmp_path / "out"), "--bif", str(bif),
+                                        "--bif", str(other), "-n", "200", "--replicates", "1"])
+        assert res.exit_code == 2
+        assert res.output == "--bif network name: 'blanket_demo' appears more than once\n"
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "suite, flags, message",
         [

@@ -20,7 +20,7 @@ def cost():
     "layer, defaults",
     [
         ("ci", {"sizes": [1000, 5000], "pairs": 100, "repeats": 5, "against": None}),
-        ("partition", {"sizes": [6, 10, 12, 14], "repeats": 5}),
+        ("partition", {"sizes": [6, 10, 12, 14], "repeats": 5, "against": None}),
         ("blanket", {"sizes": [1000, 5000], "replicates": 5, "seed": 202}),
         ("orient", {"sizes": [5000], "repeats": 5, "against": None}),
     ],
@@ -50,6 +50,8 @@ def test_options_and_defaults(cost, layer, defaults):
         ([], "the following arguments are required: layer"),
         (["orient", "--sizes", "200,200"], "expected distinct integers, got '200,200'"),
         (["orient", "--against", "{empty}"], "no src/climb package under {empty}"),
+        (["partition", "--against", "{empty}"], "no src/climb package under {empty}"),
+        (["partition", "--sizes", "4,4", "--against", "."], "expected distinct integers, got '4,4'"),
     ],
 )
 def test_bad_input_is_a_usage_error(cost, capsys, tmp_path, argv, message):
@@ -81,6 +83,15 @@ def test_partition_rows(cost, capsys):
     assert lines[0] == "n = 2000, repeats = 1"
     assert [line[:10] for line in lines[1:]] == ["|PC| =  3:", "|PC| =  1:"]
     assert all(re.fullmatch(r"\|PC\| = +\d+: +[\d.]+ us \( *[\d.]+ 1e-3 ref\) per subset", line) for line in lines[1:])
+
+
+def test_partition_rows_against(cost, capsys):
+    root = COST.parents[1]
+    cost.main(["partition", "--sizes", "3,1", "--repeats", "2", "--against", str(root)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"n = 2000, repeats = 2; 1e-3 ref per subset: this tree, {root}, median ratio"
+    assert [line[:10] for line in lines[1:]] == ["|PC| =  3:", "|PC| =  1:"]
+    assert all(re.fullmatch(r"\|PC\| = +\d+: +[\d.]+ +[\d.]+ +[\d.]+", line) for line in lines[1:])
 
 
 def test_ci_rows(cost, capsys):

@@ -19,6 +19,7 @@ from climb.graph import (
     set_metrics,
 )
 from climb.netgen import random_net
+from climb.nml import conditional_sc, stochastic_complexity
 from climb.sampling import SampleSpec, forward_sample
 from climb.table import CategoricalTable
 
@@ -451,6 +452,36 @@ class TestClimbOrient:
         cpdag = orient_cpdag(skel, seps)
         assert len(cpdag.undirected_edges()) >= 2 and cpdag.directed_edges()
         assert climb_orient(cpdag, data) == reference_climb_orient(cpdag, data)
+
+    def test_prices_each_term_once(self, monkeypatch):
+        # "a" is a parentless target (a -> b priced from a's side) and an
+        # unconditioned parent (the same pair priced from b's side): one term
+        from climb import blanket
+
+        rng = np.random.default_rng(5)
+        data = CategoricalTable.from_columns([(v, rng.integers(0, k, 400), k) for v, k in zip("abcd", (2, 3, 2, 3))])
+        g = PDag(("a", "b", "c", "d"))
+        g.add_undirected("a", "b")
+        g.add_undirected("b", "c")
+        g.add_directed("d", "c")
+        priced = []
+
+        def column(x):
+            return next(i for i, col in enumerate(data.columns) if col is x)
+
+        def alone(x, card, regrets=None):
+            priced.append((column(x), np.zeros(data.n, dtype=np.int64).tobytes()))
+            return stochastic_complexity(x, card, regrets)
+
+        def given(x, card, labels, regrets=None):
+            priced.append((column(x), np.asarray(labels, dtype=np.int64).tobytes()))
+            return conditional_sc(x, card, labels, regrets)
+
+        monkeypatch.setattr(blanket, "stochastic_complexity", alone)
+        monkeypatch.setattr(blanket, "conditional_sc", given)
+        climb_orient(g, data)
+        assert (column(data.columns[0]), np.zeros(data.n, dtype=np.int64).tobytes()) in priced
+        assert len(priced) == len(set(priced))
 
     def test_directed_part_preserved(self):
         data = self.two_node_data(2000)
