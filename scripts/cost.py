@@ -224,12 +224,14 @@ def partition(args) -> None:
 
     The data are n = 2000 rows of uniform columns with 2-4 values each (numpy
     seed 0): one target and as many members as the largest size asked for, of
-    which a search at |PC| = k uses the first k. Each row of output is the
-    median over ``--repeats`` searches of ``find_best_partition`` divided by
-    its 2^k subsets, in microseconds and in 1e-3 host-speed units, with the
-    regret table warmed by one untimed search first. Sizes above the search's
-    default cap are refused. ``--against ROOT`` compares with the ``climb``
-    of another checkout, as ``ci`` does.
+    which a search at |PC| = k uses the first k. Each size prints two rows,
+    each the median over ``--repeats`` searches of ``find_best_partition``
+    divided by its 2^k subsets, in microseconds and in 1e-3 host-speed units.
+    ``warm`` searches share a regret table that one untimed search filled;
+    ``cold`` searches each start from an empty one, so they include the
+    regret fill. Sizes above the search's default cap are refused.
+    ``--against ROOT`` compares with the ``climb`` of another checkout, as
+    ``ci`` does.
     """
     trees, unit, _ = compared(args.against, "us per subset", "1e-3 ref per subset")
     tables = [partition_table(tree, max(args.sizes)) for tree in trees]
@@ -238,17 +240,20 @@ def partition(args) -> None:
     for k in args.sizes:
         pc = set(range(1, k + 1))
 
-        def search(t: int) -> tuple[float, float]:
-            spent, ref = timed(lambda: trees[t].find_best_partition(tables[t], 0, pc, regrets=regrets[t]))
+        def search(t: int, cold: bool) -> tuple[float, float]:
+            table = trees[t].RegretTable() if cold else regrets[t]
+            spent, ref = timed(lambda: trees[t].find_best_partition(tables[t], 0, pc, regrets=table))
             return spent / 2 ** k, ref / 2 ** k
 
         for t in range(len(trees)):
-            search(t)  # warms the regret table
-        if args.against:
-            print(f"|PC| = {k:2d}: {column(trees, search, args.repeats)}")
-            continue
-        spent, ref = (statistics.median(run) for run in zip(*(search(0) for _ in range(args.repeats))))
-        print(f"|PC| = {k:2d}: {spent * 1e6:7.1f} us ({ref * 1e3:6.3f} 1e-3 ref) per subset")
+            search(t, False)  # warms the regret table
+        for cold in (False, True):
+            row = f"|PC| = {k:2d} {'cold' if cold else 'warm'}:"
+            if args.against:
+                print(f"{row} {column(trees, lambda t: search(t, cold), args.repeats)}")
+                continue
+            spent, ref = (statistics.median(run) for run in zip(*(search(0, cold) for _ in range(args.repeats))))
+            print(f"{row} {spent * 1e6:7.1f} us ({ref * 1e3:6.3f} 1e-3 ref) per subset")
 
 
 # -- blanket -----------------------------------------------------------------

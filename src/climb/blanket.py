@@ -288,26 +288,32 @@ def _refined_terms(
     """The target-term kernel of one partition search over ``members``.
 
     Returns ``refined_term(labels, sizes, col, relabel) -> (term, labels,
-    sizes)``. ``labels``/``sizes`` are a grouping as
-    :func:`climb.table.group_labels` returns it, and the result is for the
-    grouping refined by member ``col``; ``term`` is
-    :func:`climb.nml._code_bits` of the target over it, as in
-    ``conditional_sc``, so the two agree bit for bit.
+    sizes)``. ``labels`` number the rows over a domain of
+    ``sizes.shape[0]`` values, ``sizes[j]`` rows holding label j; a zero
+    size is a label no row holds. The result is for the grouping refined by
+    member ``col``; ``term`` is :func:`climb.nml._code_bits` of the target
+    over it, as in ``conditional_sc``, so the two agree bit for bit.
+    :func:`climb.table._compact` of the returned labels and sizes is
+    :func:`climb.table.group_labels` of the refined columns.
 
     Built once per search: each member's low digits ``x_c · k_t + x_t`` and
     the c·log2(c) table over 0..n (``climb.nml._count_bits_table``). Up to
-    the :func:`climb.table._countable` cut on g · k_c · k_t, a subset then
-    makes two row passes for its cell code ``labels · (k_c · k_t) + low_c``
-    and one bincount over it. Its row sums, as rows of k_t cells, are the
-    refined group sizes (zero for unrealized pairs), and its positive cells
-    are ``conditional_sc``'s cells in the same order. The refined labels,
-    made only when ``relabel`` asks (``None`` otherwise), are
-    :func:`climb.table._compact` of ``code // k_t`` and the row sums. Above
-    the cut, :func:`climb.table.refine_labels` refines first and the target
-    is counted against its labels.
+    the :func:`climb.table._countable` cut on the domain · k_c · k_t cells,
+    a subset makes two row passes for its cell code ``labels · (k_c · k_t)
+    + low_c`` and one bincount over it. Its row sums, as rows of k_t cells,
+    are the sizes of the mixed-radix labels ``code // k_t`` (zero for
+    unrealized pairs), and its positive cells are ``conditional_sc``'s
+    cells in the same order. Those labels, made only when ``relabel`` asks
+    (``None`` and the positive sizes otherwise), stay uncompacted while
+    every child refinement stays within the cut (domain · largest member
+    cardinality · k_t), and are :func:`climb.table._compact`-ed past it, so
+    a refinement above the cut always starts from realized groups only.
+    Above the cut, :func:`climb.table.refine_labels` refines first and the
+    target is counted against its labels.
     """
     x_t, k_t = table.columns[target], table.cards[target]
     low = {c: table.columns[c] * k_t + x_t for c in members}
+    widest = max((table.cards[c] for c in members), default=1) * k_t
     xlog = _count_bits_table(table.n)
 
     def refined_term(labels, sizes, col, relabel):
@@ -318,8 +324,13 @@ def _refined_terms(
             code += low[col]
             cells = np.bincount(code, minlength=rows * k_t)
             counts = _row_sums(cells, k_t)
-            labels, sizes = _compact(code // k_t, counts) if relabel else (None, counts[counts > 0])
-            return _code_bits(xlog, cells, sizes, k_t, regrets), labels, sizes
+            realized = counts.compress(counts > 0)
+            term = _code_bits(xlog, cells, realized, k_t, regrets)
+            if not relabel:
+                return term, None, realized
+            if _countable(rows * widest, table.n):
+                return term, code // k_t, counts
+            return term, *_compact(code // k_t, counts)
         labels, sizes = refine_labels(table, labels, sizes, col)
         return conditional_sc(x_t, k_t, labels, regrets), labels, sizes
 
@@ -340,14 +351,16 @@ def find_best_partition(
     on the subset; each member's terms as a parent and as a child, and the
     target's alone, come from one ``_Terms``. A subset's term comes from its
     parent subset's grouping and one more member column: one bincount over
-    (group, member value, target value) yields the refined group sizes and
+    (label, member value, target value) yields the refined group sizes and
     the target's cells together (see ``_refined_terms``), so each subset
     costs two row passes for its cell code and one bincount, plus a division
-    and a gather to relabel the rows where the walk goes deeper.
-    Every term equals :func:`climb.nml.conditional_sc` over the subset's
-    grouping bit for bit. Ties prefer fewer parents, then the
-    lexicographically smallest parent name set, so the result does not
-    depend on column order.
+    for the mixed-radix labels where the walk goes deeper. Those labels are
+    compacted to realized groups only once a child's count would pass the
+    dense-counting cut. Every term equals :func:`climb.nml.conditional_sc`
+    over the subset's grouping bit for bit. Ties prefer fewer parents, then
+    the lexicographically smallest parent name set, so the result does not
+    depend on column order; a subset builds its name tuple only when its
+    score can tie or beat the best so far.
 
     The search is exhaustive over the 2^|PC| subsets, and ``cap`` is its
     only bound. Exact branch-and-bound lost in every variant measured: a
@@ -388,9 +401,10 @@ def find_best_partition(
         score = term
         for v in members:
             score += solo_cost[v] if v in pa_set else child_cost[v]
-        key = (score, len(pa), tuple(table.names[v] for v in pa))
-        if best_key is None or key < best_key:
-            best_key, best = key, pa
+        if best_key is None or score <= best_key[0]:  # the name tuple only for a contender
+            key = (score, len(pa), tuple(table.names[v] for v in pa))
+            if best_key is None or key < best_key:
+                best_key, best = key, pa
         for i in range(nxt, len(members)):
             step = refined_term(labels_pa, sizes_pa, members[i], i < last)
             visit(pa + [members[i]], *step, i + 1)

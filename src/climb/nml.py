@@ -146,6 +146,9 @@ class RegretTable:
     other pairs were asked for before it or with it. Values are retained for
     the lifetime of the table. Computations are serialized and
     idempotent, so concurrent readers always observe identical values.
+    Code lengths sum their regrets through ``_log_regret_sum``, whose hit
+    path is one gather and one sum, and which leaves every miss to
+    :meth:`log_regret_many`.
     """
 
     def __init__(self) -> None:
@@ -202,6 +205,28 @@ class RegretTable:
                 if not np.isnan(out).any():
                     return out
         return self._fill(card, ns)[ns]
+
+    def _log_regret_sum(self, card: int, sizes: np.ndarray) -> float:
+        """``float(np.add.reduce(self.log_regret_many(card, sizes)))``, bit for bit.
+
+        ``sizes`` are non-negative int64 sample counts. When every entry is
+        known, the sum is one gather from the card's array and one
+        ``add.reduce``, and a NaN sum means an entry is missing. Anything
+        else goes through :meth:`log_regret_many` itself: a missing entry, a
+        size beyond the card's array, and a card of at most one value, which
+        has no array. So fills, their lock and ``filled_upto`` are the
+        lookup's, and a hit never takes the lock.
+        """
+        arr = self._values.get(card)
+        if arr is not None:
+            try:
+                total = np.add.reduce(arr[sizes])
+            except IndexError:  # some size beyond the array: filled below
+                pass
+            else:
+                if not math.isnan(total):
+                    return float(total)
+        return float(np.add.reduce(self.log_regret_many(card, sizes)))
 
     def filled_upto(self, card: int) -> int:
         """Number of entries computed for ``card``, minus one (-1 when none).
@@ -265,13 +290,16 @@ def _code_bits(xlog: np.ndarray, cells: np.ndarray, sizes: np.ndarray, card: int
                regrets: RegretTable | None) -> float:
     """Code length in bits of a column over groups, from its counts.
 
-    ``cells`` holds the column's value counts, group by group; ``sizes``
-    the group sizes; ``xlog`` the :func:`_count_bits_table` over 0..n. The data bits, the sum over groups of h·H(x | group), are
-    the groups' h·log2(h) minus the positive cells' c·log2(c), each summed
-    in array order; the regrets are those of ``card`` values per group.
+    ``cells`` holds the column's value counts, group by group, zero rows
+    of unrealized groups allowed; ``sizes`` the realized group sizes;
+    ``xlog`` the :func:`_count_bits_table` over 0..n. The data bits, the sum
+    over groups of h·H(x | group), are the groups' h·log2(h) minus the
+    positive cells' c·log2(c) (taken by ``compress``), each summed in array
+    order; the regrets are those of ``card`` values per group, summed by
+    ``RegretTable._log_regret_sum``.
     """
-    data = float(xlog[sizes].sum()) - float(xlog[cells[cells > 0]].sum())
-    return data + float((regrets or _SHARED).log_regret_many(card, sizes).sum())
+    data = float(xlog[sizes].sum()) - float(xlog[cells.compress(cells > 0)].sum())
+    return data + (regrets or _SHARED)._log_regret_sum(card, sizes)
 
 
 def stochastic_complexity(x: np.ndarray, card: int, regrets: RegretTable | None = None) -> float:
@@ -310,4 +338,4 @@ def delta(card: int, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0 or card == 1:
         return 0.0
-    return float(_SHARED.log_regret_many(card, np.bincount(labels)).sum())
+    return _SHARED._log_regret_sum(card, np.bincount(labels))

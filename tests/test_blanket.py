@@ -22,7 +22,7 @@ from climb.citests import make_test
 from climb.netgen import alarm_network, blanket_demo_network, random_net
 from climb.nml import RegretTable, conditional_sc, stochastic_complexity
 from climb.sampling import SampleSpec, forward_sample
-from climb.table import CategoricalTable, group_labels
+from climb.table import CategoricalTable, _compact, _countable, group_labels
 
 
 def chain_net():
@@ -371,11 +371,11 @@ def exhaustive_partition(table, target, pc_set, regrets=None):
     return best
 
 
-# one member column each: uniform over 2-4 values, constant, 256 values (which
+# one member column each: uniform over 2-4 values, uniform over 2, constant, 256 values (which
 # sends the reference's grouping above the dense-counting cut), 256 declared
 # values of which at most 3 occur (above the cut, yet with large cells), or an
 # exact copy of the member before it (a leading copy has none and draws 2 values)
-_MEMBER_KINDS = st.lists(st.sampled_from(["small", "one", "wide", "sparse", "dup"]), max_size=8)
+_MEMBER_KINDS = st.lists(st.sampled_from(["small", "two", "one", "wide", "sparse", "dup"]), max_size=8)
 
 
 # the target column, drawn like a member: with 256 declared values every
@@ -384,7 +384,7 @@ _TARGET_KINDS = st.sampled_from(["one", "small", "wide", "sparse"])
 
 
 def _random_column(rng, kind, n):
-    card = {"small": int(rng.integers(2, 5)), "one": 1, "wide": 256, "sparse": 256, "dup": 2}[kind]
+    card = {"small": int(rng.integers(2, 5)), "two": 2, "one": 1, "wide": 256, "sparse": 256, "dup": 2}[kind]
     if kind == "sparse":
         return rng.choice(rng.choice(card, 3), n), card
     return rng.integers(0, card, n), card
@@ -438,27 +438,70 @@ class TestPartitionSearchProperty:
     @example("wide", ["small", "sparse", "one", "dup"], 200, 12)  # card-256 target
     @example("sparse", ["wide", "small", "small"], 40, 13)  # card-256 target and member
     @example("small", ["sparse", "wide", "small", "small"], 300, 14)  # above-cut subsets deeper in
+    @example("small", ["two"] * 6, 40, 0)  # mixed-radix labels for 4 levels, then compacted
+    @example("small", ["two"] * 4 + ["wide"], 2100, 0)  # 3 mixed-radix levels, a 256-valued member above the cut
     def test_refined_term_matches_conditional_sc(self, target_kind, kinds, n, seed):
-        """Every subset's fused term is ``conditional_sc`` over its grouping, bit for bit."""
+        """Every subset's fused term is ``conditional_sc`` over its grouping, bit for bit.
+
+        The kernel hands on labels over a domain of ``sizes.shape[0]`` values,
+        mixed-radix and uncompacted below the cut: compacting them gives the
+        subset's ``group_labels``, and a refinement above the cut starts from
+        compacted labels only.
+        """
         table = _random_table(target_kind, kinds, n, seed)
         x_t, k_t = table.columns[0], table.cards[0]
         regrets = RegretTable()
         refined_term = _refined_terms(table, 0, list(range(1, table.m)), regrets)
 
         def walk(subset, labels, sizes, nxt):
+            grouped = group_labels(table, subset)
             for i in range(nxt, table.m):
+                if not _countable(sizes.shape[0] * table.cards[i] * k_t, table.n):
+                    assert np.array_equal(labels, grouped[0]) and np.array_equal(sizes, grouped[1])
                 cols = [*subset, i]
                 want_labels, want_sizes = group_labels(table, cols)
                 want = conditional_sc(x_t, k_t, want_labels, regrets)
                 leaf, _, leaf_sizes = refined_term(labels, sizes, i, False)
                 term, got_labels, got_sizes = refined_term(labels, sizes, i, True)
                 assert term.hex() == want.hex() == leaf.hex()
-                assert np.array_equal(got_labels, want_labels)
-                assert np.array_equal(got_sizes, want_sizes)
+                assert np.array_equal(np.bincount(got_labels, minlength=got_sizes.shape[0]), got_sizes)
+                compact_labels, compact_sizes = _compact(got_labels, got_sizes)
+                assert np.array_equal(compact_labels, want_labels)
+                assert np.array_equal(compact_sizes, want_sizes)
                 assert np.array_equal(leaf_sizes, want_sizes)
                 walk(cols, got_labels, got_sizes, i + 1)
 
         walk([], *group_labels(table, []), 1)
+
+    @pytest.mark.parametrize("kinds, n, steps", [
+        (["two"] * 6, 40, "MMMMCC"),
+        (["two"] * 4 + ["wide"], 2100, "MMMCA"),
+    ])
+    def test_labels_stay_mixed_radix_until_the_cut(self, monkeypatch, kinds, n, steps):
+        """Down one path, labels stay mixed-radix while every child is within the cut.
+
+        Per member: ``M`` hands on the mixed-radix labels ``code // k_t`` over
+        the product of the cardinalities, ``C`` compacts them, ``A`` refines
+        above the cut. These are the walks of the property test's examples.
+        """
+        table = _random_table("small", kinds, n, 0)
+        compacted = []
+        monkeypatch.setattr(blanket, "_compact", lambda *a: compacted.append(1) or _compact(*a))
+        refined_term = _refined_terms(table, 0, list(range(1, table.m)), None)
+        labels, sizes = group_labels(table, [])
+        got = ""
+        for col in range(1, table.m):
+            above = not _countable(sizes.shape[0] * table.cards[col] * table.cards[0], n)
+            before = len(compacted)
+            _, labels, sizes = refined_term(labels, sizes, col, True)
+            if above:
+                got += "A"
+            elif len(compacted) > before:
+                got += "C"
+            else:
+                assert sizes.shape[0] == np.prod(table.cards[1:col + 1])
+                got += "M"
+        assert got == steps
 
 
 class TestClimb:

@@ -81,8 +81,10 @@ def test_partition_rows(cost, capsys):
     cost.main(["partition", "--sizes", "3,1", "--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n = 2000, repeats = 1"
-    assert [line[:10] for line in lines[1:]] == ["|PC| =  3:", "|PC| =  1:"]
-    assert all(re.fullmatch(r"\|PC\| = +\d+: +[\d.]+ us \( *[\d.]+ 1e-3 ref\) per subset", line) for line in lines[1:])
+    assert [line[:15] for line in lines[1:]] == ["|PC| =  3 warm:", "|PC| =  3 cold:",
+                                                 "|PC| =  1 warm:", "|PC| =  1 cold:"]
+    assert all(re.fullmatch(r"\|PC\| = +\d+ (warm|cold): +[\d.]+ us \( *[\d.]+ 1e-3 ref\) per subset", line)
+               for line in lines[1:])
 
 
 def test_partition_rows_against(cost, capsys):
@@ -90,8 +92,9 @@ def test_partition_rows_against(cost, capsys):
     cost.main(["partition", "--sizes", "3,1", "--repeats", "2", "--against", str(root)])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"n = 2000, repeats = 2; 1e-3 ref per subset: this tree, {root}, median ratio"
-    assert [line[:10] for line in lines[1:]] == ["|PC| =  3:", "|PC| =  1:"]
-    assert all(re.fullmatch(r"\|PC\| = +\d+: +[\d.]+ +[\d.]+ +[\d.]+", line) for line in lines[1:])
+    assert [line[:15] for line in lines[1:]] == ["|PC| =  3 warm:", "|PC| =  3 cold:",
+                                                 "|PC| =  1 warm:", "|PC| =  1 cold:"]
+    assert all(re.fullmatch(r"\|PC\| = +\d+ (warm|cold): +[\d.]+ +[\d.]+ +[\d.]+", line) for line in lines[1:])
 
 
 def test_ci_rows(cost, capsys):

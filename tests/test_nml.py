@@ -186,9 +186,17 @@ class TestLogRegret:
         def worker(slot):
             rng = np.random.default_rng(slot)
             for n in rng.permutation(wanted).tolist():
-                got = table.log_regret(5, n) if n % 2 else float(table.log_regret_many(5, [n, 0])[0])
+                if n % 3 == 0:
+                    got = table.log_regret(5, n)
+                elif n % 3 == 1:
+                    got = float(table.log_regret_many(5, [n, 0])[0])
+                else:
+                    got = table._log_regret_sum(5, np.array([n, 0]))
                 if got != want[n]:
                     errors.append((slot, n))
+                # the lock-free hit path of the sum, while other threads fill
+                if table._log_regret_sum(5, np.array([0, n, n])) != want[n] + want[n]:
+                    errors.append((slot, -n))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -217,6 +225,71 @@ class TestLogRegret:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self.lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class TestLogRegretSum:
+    """``RegretTable._log_regret_sum`` is the sum of ``log_regret_many``, bit for bit."""
+
+    @pytest.mark.parametrize("card, warm, sizes", [
+        (3, [], [5, 0, 17, 5]),  # fresh table
+        (3, [[0, 5, 17]], [5, 0, 17, 5]),  # full hit
+        (3, [[0, 5, 40]], [5, 0, 17, 5]),  # partial miss: 17 is a NaN in the gather
+        (3, [[0, 5]], [5, 300]),  # a size beyond the card's array
+        (1, [], [4, 0, 9]),  # one value: no array, no regret
+        (1, [[3]], [4, 0, 9]),
+        (3, [], []),  # empty sizes
+        (3, [[5]], []),
+        (1024, [[1, 2]], [700, 1, 2, 2000]),  # a wide card, rows past the scalar block
+    ])
+    def test_equals_summed_lookup(self, card, warm, sizes):
+        helper, lookup = RegretTable(), RegretTable()
+        for table in (helper, lookup):
+            for ns in warm:
+                table.log_regret_many(card, np.array(ns))
+        sizes = np.array(sizes, dtype=np.int64)
+        got = helper._log_regret_sum(card, sizes)
+        want = float(np.add.reduce(lookup.log_regret_many(card, sizes)))
+        assert type(got) is float
+        assert got.hex() == want.hex()
+        # it computes exactly the entries the lookup computes
+        assert helper.filled_upto(card) == lookup.filled_upto(card)
+        got_values, want_values = helper._values.get(card), lookup._values.get(card)
+        assert (got_values is None) == (want_values is None)
+        if want_values is not None:
+            assert np.array_equal(got_values, want_values, equal_nan=True)
+        # and again on the warm table, now a hit
+        assert helper._log_regret_sum(card, sizes).hex() == want.hex()
+
+    def test_hit_takes_no_lock(self):
+        table = RegretTable()
+        table.log_regret_many(4, np.array([0, 9, 30]))
+        table._lock = lock = _CountingLock()
+        table._log_regret_sum(4, np.array([9, 30, 0, 9]))
+        assert lock.taken == 0
+        table._log_regret_sum(4, np.array([9, 31]))  # a miss fills under the lock
+        assert lock.taken == 1
+        assert table.filled_upto(4) == 3
+
+    def test_fresh_table_refuses_what_lookup_refuses(self):
+        table = RegretTable()
+        with pytest.raises(ValueError):
+            table._log_regret_sum(0, np.array([5]))
+        with pytest.raises(ValueError):
+            table._log_regret_sum(3, np.array([5, -1]))
 
 
 class TestStochasticComplexity:
@@ -298,6 +371,12 @@ class TestDelta:
 
     def test_unit_cardinality(self):
         assert delta(1, np.array([0, 0, 1, 2])) == 0.0
+
+    @pytest.mark.parametrize("card", [1, 2, 5])
+    def test_sums_the_shared_lookup(self, card):
+        labels = np.random.default_rng(card).integers(0, 7, 300)
+        want = float(shared_regrets().log_regret_many(card, np.bincount(labels)).sum())
+        assert delta(card, labels).hex() == want.hex()
 
     def test_split_below_merged(self):
         # two groups of 4 cost at most one group of 8 (sub-additivity)
