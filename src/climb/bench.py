@@ -305,10 +305,16 @@ def run_mb_benchmark(
     Every method runs on a test object of its own per replicate, so a row's
     ``tests`` (logical) and ``evaluated`` (memo misses) counts are its
     method's alone and do not depend on the run order. A value repeated in
-    ``sizes`` or ``methods`` is refused with ``ValueError`` before any
-    replicate runs.
+    ``sizes`` or ``methods``, and a method other than ``climb_<kind>`` or
+    ``pcmb_<kind>`` with a kind of ``sci``, ``g2`` or ``cmi``, are refused
+    with ``ValueError`` before any replicate runs.
     """
     _distinct(sizes=sizes, methods=methods)
+    for method in methods:
+        search, _, kind = method.partition("_")
+        if search not in ("climb", "pcmb") or kind not in ("sci", "g2", "cmi"):
+            raise ValueError(f"methods: {method!r} is not climb_<kind> or pcmb_<kind> "
+                             "with a kind of sci, g2 or cmi")
     dag = net.dag()
     truth = {v: set().union(*_roles(dag, v).values()) for v in net.nodes}
     rows = []
@@ -450,8 +456,11 @@ def run_causal_discovery(
     ``pc_climb`` is the climb-oriented completion of the G2 partial DAG,
     ``pc_sci_climb`` of the SCI one. An externally supplied partial DAG per
     network adds ``ext`` and ``ext_climb`` rows (for score-based search
-    output produced elsewhere).
+    output produced elsewhere). Rows, aggregates and ``external_cpdags`` go
+    by network name, so two networks of one name are refused with
+    ``ValueError`` before any replicate runs.
     """
+    _distinct(nets=[net.name for net in nets])
     rows = []
     failures = []
     for (net, truth), rep, rep_seed in _streams(seed, replicates, [(net, net.dag()) for net in nets]):

@@ -82,13 +82,16 @@ def _half_pc(
 
     An association screen (one batch at z = ()) keeps the variables that are
     marginally dependent on ``target`` and ranks them by strength, strongest
-    first, ties by name. In that order each newcomer is tested against the
-    subsets of size 1 to ``max_cond`` of the current set, smallest first; the
-    first that separates it becomes its sepset. Otherwise it joins, and each
-    earlier member is re-tested only against the subsets that hold the
-    newcomer, since every other subset was tried before; a separated member
-    leaves with its sepset. So no subset of up to ``max_cond`` of the final
-    set separates a member. A query's z lists members in joining order.
+    first, ties by name. G²'s strength ``1 - p`` cannot tell p-values below
+    about 1.1e-16 apart (it is exactly 1.0 for every p <= 2^-54), so G²
+    ranks those candidates by name (ROADMAP item 1). In that order each
+    newcomer is tested against the subsets of size 1 to ``max_cond`` of the
+    current set, smallest first; the first that separates it becomes its
+    sepset. Otherwise it joins, and each earlier member is re-tested only
+    against the subsets that hold the newcomer, since every other subset was
+    tried before; a separated member leaves with its sepset. So no subset of
+    up to ``max_cond`` of the final set separates a member. A query's z
+    lists members in joining order.
     """
     sepsets: dict[int, frozenset[int]] = {}
     ranked = []
@@ -486,7 +489,14 @@ def _get_pcd(
     test: IndependenceTest,
     max_cond: int,
 ) -> tuple[list[int], dict[int, frozenset[int]]]:
-    """Candidate parents/children with per-round re-ranking (reference search)."""
+    """Candidate parents/children with per-round re-ranking (reference search).
+
+    Each round a candidate's weakest verdict over the subsets of the current
+    set decides: an independent one drops it, and the most dependent of the
+    rest joins, ties by name. G²'s strength ``1 - p`` is exactly 1.0 for
+    every p <= 2^-54 (and 1 - 2^-53 up to about 1.1e-16), so G² picks among
+    such candidates by name (ROADMAP item 1).
+    """
     names = table.names
     pcd: list[int] = []
     can = sorted((v for v in range(table.m) if v != target), key=lambda i: names[i])

@@ -6,17 +6,20 @@ when its statistic is <= 0; the classical G^2 likelihood-ratio test with a
 significance level; and plug-in conditional mutual information against a
 fixed cutoff, a verdict only ``IndependenceTest(kind="cmi")`` gives (its
 ``statistic`` is the bare value). Each statistic is read off one
-(z, x, y) contingency array per query. :meth:`IndependenceTest.many` asks
-one (x, z) against many y and answers all its memo misses in one pass: one
-(B, g, kx, K) count array, one elementwise pass and one regret lookup per
-cardinality. The single-query functions and ``IndependenceTest.__call__``
-are batches of one. Verdicts are memoised per test object.
+(z, x, y) contingency array per query. Every verdict takes one path,
+:meth:`IndependenceTest.many`, which asks one (x, z) against many y: it
+checks the batch once, keys every y in the test's memo, answers the distinct
+misses in one pass (one (B, g, kx, K) count array, one elementwise pass and
+one regret lookup per cardinality) and reads every verdict off the memo.
+``IndependenceTest.__call__`` is a batch of one, and so are the module
+functions ``sci`` and ``g2_test``, each on a fresh test. Verdicts are
+memoised per test object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,12 +62,6 @@ def _check(m: int, x: int, y: int, z: tuple[int, ...]) -> None:
         raise ValueError("x and y may not appear in the conditioning set")
     if len(set(z)) != len(z):
         raise ValueError("the conditioning set may not repeat a variable")
-
-
-def _check_alpha(alpha: float) -> None:
-    """Raise ``ValueError`` unless ``alpha`` is a significance level in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -224,38 +221,25 @@ class _Given:
         self.bits_zyx = _segment_sums(cells.transpose(0, 1, 3, 2)[pos.transpose(0, 1, 3, 2)], ends)
         self.bits_zxy = _segment_sums(cells[pos], ends) if both else None
 
-    def _lookup(self, card: int, *sizes: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        """One regret lookup of ``card`` over the z-group sizes followed by ``sizes``.
-
-        Returns the z-groups' regret sum and the regrets of each of ``sizes``.
-        """
-        regrets = self._regrets or shared_regrets()
-        values = regrets.log_regret_many(card, np.concatenate((self.z_sizes, *sizes)))
-        head = self.z_sizes.shape[0]
-        parts = []
-        for part in sizes:
-            parts.append(values[head:head + part.shape[0]])
-            head += part.shape[0]
-        return float(np.add.reduce(values[:self.z_sizes.shape[0]])), parts
-
     def sci(self) -> list[CiVerdict]:
-        kx = self.kx
+        kx, ycards = self.kx, set(self.kys)
         self._data_bits(True)
         bits_z, bits_zx = self.bits_z, self.bits_zx
-        # per y-cardinality: the regret sums over the z-groups and (z, x) cells
+        regrets = self._regrets or shared_regrets()
+        groups = self.z_sizes.shape[0]
+        # per cardinality: the regret sums over the z-groups and the (z, x) cells
         y_given: dict[int, tuple[float, float]] = {}
-        for ky in set(self.kys) - {1, kx}:
-            over_z, (over_zx,) = self._lookup(ky, self.zx_cells)
-            y_given[ky] = over_z, float(np.add.reduce(over_zx))
-        if kx > 1:
-            if kx in self.kys:
-                over_z, (over_zy, over_zx) = self._lookup(kx, self.zy_cells, self.zx_cells)
-                y_given[kx] = over_z, float(np.add.reduce(over_zx))
-            else:
-                over_z, (over_zy,) = self._lookup(kx, self.zy_cells)
-            # x's code length given z, and per y the regrets of its length given (z, y)
-            x_given_z = bits_z - bits_zx + over_z
-            x_regrets_zy = _segment_sums(over_zy, self.zy_ends)
+        for card in (ycards | {kx}) - {1}:
+            # one lookup over the z-group sizes, then x's (z, y) cells, then a y's (z, x) cells
+            zy = self.zy_cells if card == kx else self.zy_cells[:0]
+            zx = self.zx_cells if card in ycards else self.zx_cells[:0]
+            values = regrets.log_regret_many(card, np.concatenate((self.z_sizes, zy, zx)))
+            over_z = float(np.add.reduce(values[:groups]))
+            y_given[card] = over_z, float(np.add.reduce(values[groups + zy.shape[0]:]))
+            if card == kx:
+                # x's code length given z, and per y the regrets of its length given (z, y)
+                x_given_z = bits_z - bits_zx + over_z
+                x_regrets_zy = _segment_sums(values[groups:groups + zy.shape[0]], self.zy_ends)
         out = []
         for b, ky in enumerate(self.kys):
             bits_zy = self.bits_zy[b]
@@ -394,9 +378,10 @@ def sci(q: CiQuery) -> CiVerdict:
 
     The statistic is the larger of the two directional scores; independence
     is declared exactly when it is <= 0. Both scores come from one
-    contingency array.
+    contingency array. A batch of one through a fresh
+    :class:`IndependenceTest`.
     """
-    return _Given(q.table, q.x, q.z, (q.y,)).sci()[0]
+    return IndependenceTest(q.table)(q.x, q.y, q.z)
 
 
 def g2_test(q: CiQuery, alpha: float = 0.01, min_samples_per_dof: float = 10.0) -> CiVerdict:
@@ -406,10 +391,10 @@ def g2_test(q: CiQuery, alpha: float = 0.01, min_samples_per_dof: float = 10.0) 
     correction. When fewer than ``min_samples_per_dof`` samples per degree of
     freedom are available the test is considered unreliable and independence
     is returned without testing (set the factor to 0 to disable). An
-    ``alpha`` outside (0, 1) is refused with ``ValueError``.
+    ``alpha`` outside (0, 1) is refused with ``ValueError``. A batch of one
+    through a fresh :class:`IndependenceTest`.
     """
-    _check_alpha(alpha)
-    return _g2_verdicts(q.table, q.x, q.z, (q.y,), alpha, min_samples_per_dof)[0]
+    return IndependenceTest(q.table, "g2", alpha, min_samples_per_dof=min_samples_per_dof)(q.x, q.y, q.z)
 
 
 class IndependenceTest:
@@ -445,7 +430,8 @@ class IndependenceTest:
     ) -> None:
         if kind not in ("sci", "g2", "cmi"):
             raise ValueError(f"unknown test kind {kind!r}")
-        _check_alpha(alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if not cutoff >= 0.0:
             raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         self._table = table
@@ -469,43 +455,39 @@ class IndependenceTest:
     def __call__(self, x: int, y: int, z: tuple[int, ...] = ()) -> CiVerdict:
         return self.many(x, (y,), z)[0]
 
-    def many(self, x: int, ys: Sequence[int], z: tuple[int, ...] = ()) -> list[CiVerdict]:
+    def many(self, x: int, ys: Iterable[int], z: tuple[int, ...] = ()) -> list[CiVerdict]:
         """Verdicts of ``(x, y, z)`` for every y in ``ys``, in order.
 
         The same as calling the test once per y: each y adds one to
         ``count``, looks up the memo under its own key, and adds one to
-        ``evaluated`` when it misses; a y repeated in the batch is a hit. All
-        misses are answered together by one :class:`_Given` (one per
-        y-cardinality above the counting cut, see :func:`_givens`), so what
-        depends only on (x, z) is computed once and the ys share one count
-        array, one elementwise pass and one regret lookup per cardinality.
-        An invalid query raises ``ValueError`` after the ys before it were
-        counted, and the misses among them evaluated and memoised.
+        ``evaluated`` when it misses; a y repeated in the batch is a hit. The
+        ys are checked once, up front. The distinct misses are answered
+        together by one :class:`_Given` (one per y-cardinality above the
+        counting cut, see :func:`_givens`), so what depends only on (x, z) is
+        computed once and the ys share one count array, one elementwise pass
+        and one regret lookup per cardinality; every verdict is then read
+        off the memo. An invalid query raises ``ValueError`` after the ys
+        before it were counted, and the misses among them evaluated and
+        memoised; the invalid y is counted too.
         """
         z = tuple(z)
-        sym = self._kind == "sci"
-        memo = self._memo
+        ys = list(ys)
         m = len(self._table.columns)
-        out: list = []
-        holes = []  # (place in out, key) of every y a miss answers
-        misses: dict[tuple, int] = {}
         error = None
-        for y in ys:
-            self.count += 1
-            key = (y, x, z) if sym and y < x else (x, y, z)
-            verdict = memo.get(key)
-            if verdict is None:
-                if key not in misses:
-                    # the first miss checks x and z too; later ones need only y checked
-                    if not misses or not (0 <= y < m and y != x and y not in z):
-                        try:
-                            _check(m, x, y, z)
-                        except ValueError as exc:
-                            error = exc
-                            break
-                    misses[key] = y
-                holes.append((len(out), key))
-            out.append(verdict)
+        for i, y in enumerate(ys):
+            # the first y checks x and z too; later ones need only y checked
+            if i == 0 or not (0 <= y < m and y != x and y not in z):
+                try:
+                    _check(m, x, y, z)
+                except ValueError as exc:
+                    error, ys = exc, ys[:i]
+                    self.count += 1
+                    break
+        self.count += len(ys)
+        sym = self._kind == "sci"
+        keys = [(y, x, z) if sym and y < x else (x, y, z) for y in ys]
+        memo = self._memo
+        misses = {key: y for key, y in zip(keys, ys) if key not in memo}
         if misses:
             asked = list(misses.values())
             if sym:
@@ -519,9 +501,7 @@ class IndependenceTest:
             self.evaluated += len(misses)
         if error is not None:
             raise error
-        for i, key in holes:
-            out[i] = memo[key]
-        return out
+        return [memo[key] for key in keys]
 
     def strength(self, verdict: CiVerdict) -> float:
         if self._kind == "g2":

@@ -212,8 +212,12 @@ def pc_stable_skeleton(
     At level l every remaining pair is tested against all size-l subsets of
     the adjacency sets frozen at the start of the level; removals commit at
     level end. A removed pair records the most clearly separating set of
-    that level (smallest test statistic, names breaking ties), which keeps
-    downstream collider detection off spuriously-independent subsets.
+    that level (smallest strength, names breaking ties), which keeps
+    downstream collider detection off spuriously-independent subsets. G²'s
+    strength ``1 - p`` is exactly 1.0 for every p <= 2^-54, which only
+    dependent verdicts reach, so that does not touch this choice; but a G²
+    verdict left untested (too few samples per degree of freedom) reads
+    p = 1.0, so such verdicts tie and their sets go by name (ROADMAP item 1).
     """
     _check_search(table, test, max_cond)
     names = table.names

@@ -186,9 +186,18 @@ class TestRepeatedValues:
              "sizes: 200 appears more than once"),
             (lambda: run_cmb_benchmark(blanket_demo_network(), (200, 200), 1), "sizes: 200 appears more than once"),
             (lambda: run_zero_baseline((4, 4), n=50, replicates=2), "ky_grid: 4 appears more than once"),
+            (lambda: run_causal_discovery((blanket_demo_network(), blanket_demo_network(seed=4)), 200, 1),
+             "nets: 'blanket_demo' appears more than once"),
+            (lambda: run_mb_benchmark(blanket_demo_network(), (300,), 1, methods=("clmb_sci",)),
+             "methods: 'clmb_sci' is not climb_<kind> or pcmb_<kind> with a kind of sci, g2 or cmi"),
+            (lambda: run_mb_benchmark(blanket_demo_network(), (300,), 1, methods=("climb_sci", "climb_fisher")),
+             "methods: 'climb_fisher' is not climb_<kind> or pcmb_<kind> with a kind of sci, g2 or cmi"),
+            (lambda: run_mb_benchmark(blanket_demo_network(), (300,), 1, methods=("pcmb",)),
+             "methods: 'pcmb' is not climb_<kind> or pcmb_<kind> with a kind of sci, g2 or cmi"),
         ],
         ids=["dsep-ns", "dsep-noises", "dsep-tests", "mb-sizes", "mb-methods", "partition-sizes",
-             "cmb-sizes", "zero-baseline-ky-grid"],
+             "cmb-sizes", "zero-baseline-ky-grid", "discovery-nets", "mb-unknown-search",
+             "mb-unknown-kind", "mb-no-kind"],
     )
     def test_refused_before_any_replicate(self, monkeypatch, run, message):
         def no_stream(*args):
