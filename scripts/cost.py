@@ -236,7 +236,7 @@ def partition(args) -> None:
     trees, unit, _ = compared(args.against, "us per subset", "1e-3 ref per subset")
     tables = [partition_table(tree, max(args.sizes)) for tree in trees]
     regrets = [tree.RegretTable() for tree in trees]
-    print(f"n = {PARTITION_N}, repeats = {args.repeats}" + (f"; {unit}" if args.against else ""))
+    print(f"n = {PARTITION_N}, repeats = {args.repeats}; {unit}")
     for k in args.sizes:
         pc = set(range(1, k + 1))
 
@@ -248,12 +248,8 @@ def partition(args) -> None:
         for t in range(len(trees)):
             search(t, False)  # warms the regret table
         for cold in (False, True):
-            row = f"|PC| = {k:2d} {'cold' if cold else 'warm'}:"
-            if args.against:
-                print(f"{row} {column(trees, lambda t: search(t, cold), args.repeats)}")
-                continue
-            spent, ref = (statistics.median(run) for run in zip(*(search(0, cold) for _ in range(args.repeats))))
-            print(f"{row} {spent * 1e6:7.1f} us ({ref * 1e3:6.3f} 1e-3 ref) per subset")
+            figure = column(trees, lambda t: search(t, cold), args.repeats)
+            print(f"|PC| = {k:2d} {'cold' if cold else 'warm'}: {figure}")
 
 
 # -- blanket -----------------------------------------------------------------

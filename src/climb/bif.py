@@ -44,6 +44,7 @@ class BayesNet:
     cpts: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        dag = self.dag()
         for v in self.nodes:
             k = len(self.labels[v])
             rows = math.prod(len(self.labels[p]) for p in self.parents[v])
@@ -57,7 +58,6 @@ class BayesNet:
                     raise ValueError(f"{v}: CPT rows must sum to 1")
             if cpt.size and cpt.min() < 0:  # every entry is finite here
                 raise ValueError(f"{v}: negative probability")
-        dag = self.dag()
         if not dag.is_acyclic():
             raise ValueError("parent structure has a cycle")
 
@@ -66,8 +66,13 @@ class BayesNet:
 
     def dag(self) -> PDag:
         g = PDag(self.nodes)
+        known = set(self.nodes)
         for v in self.nodes:
             for p in self.parents[v]:
+                if p not in known:
+                    raise ValueError(f"parent {p!r} of {v!r} is not a node")
+                if g.has_directed(p, v):
+                    raise ValueError(f"parent {p!r} listed twice for {v!r}")
                 if g.has_edge(p, v):
                     raise ValueError(f"parent structure has a cycle between {p!r} and {v!r}")
                 g.add_directed(p, v)
@@ -93,9 +98,11 @@ def _config_index(cards: Sequence[int], codes: Sequence):
 
 # -- tokenizer ---------------------------------------------------------------
 
-# a comment, one punctuation mark, or a word: a run of anything else that
-# stops at whitespace, punctuation and the start of a comment
-_TOKEN = re.compile(r"(//[^\n]*)|[{}()\[\]|,;]|(?:[^\s{}()\[\]|,;/]|/(?!/))+")
+# a word: a run of anything but whitespace and punctuation that holds no
+# comment start; every name serialize_bif writes must be one
+_WORD = re.compile(r"(?:[^\s{}()\[\]|,;/]|/(?!/))+")
+# a comment, one punctuation mark, or a word
+_TOKEN = re.compile(rf"(//[^\n]*)|[{{}}()\[\]|,;]|{_WORD.pattern}")
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,17 @@ def _read_values(ts: _TokenStream) -> list[float]:
 
 
 def serialize_bif(net: BayesNet) -> str:
-    """Canonical text form; parsing it back reproduces the network."""
+    """Canonical text form; parsing it back reproduces the network.
+
+    ``ValueError`` names the first network name, node name or label that
+    would not read back as one word of the tokenizer: one that is empty or
+    holds whitespace, one of ``{}()[]|,;``, or ``//``.
+    """
+    names = [("network name", net.name, "")] + [("node", v, "") for v in net.nodes]
+    names += [("label", label, f" of node {v!r}") for v in net.nodes for label in net.labels[v]]
+    for what, text, where in names:
+        if not _WORD.fullmatch(text):
+            raise ValueError(f"{what} {text!r}{where} is not one BIF word")
     out = [f"network {net.name} {{\n}}\n"]
     for v in net.nodes:
         cats = ", ".join(net.labels[v])

@@ -2,7 +2,10 @@
 
 A :class:`PDag` is a mixed graph over named nodes whose edges carry either a
 direction or no direction, with at most one edge per pair. It serves as
-skeleton, CPDAG and DAG representation throughout.
+skeleton, CPDAG and DAG representation throughout. It holds each edge as
+one mark at each of its two ends, in one adjacency map, and walks its
+directed part iteratively, so a path of any length is ordered without
+recursion.
 """
 from __future__ import annotations
 
@@ -29,88 +32,87 @@ __all__ = [
     "d_separated",
 ]
 
+# the mark at v's end of an edge v, w: v -> w, w -> v, or v - w
+_OUT, _IN, _UND = "out", "in", "und"
+_MIRROR = {_OUT: _IN, _IN: _OUT, _UND: _UND}
+
 
 class PDag:
-    """Mixed graph with directed and undirected edge marks."""
+    """Mixed graph with directed and undirected edge marks.
+
+    ``_adj[v][w]`` is the mark at v's end of the edge between v and w, and
+    ``_adj[w][v]`` its mirror; a pair without an edge is in neither map.
+    Every writer sets or pops both ends at once, so a pair holds at most one
+    edge and every parent lists its child by construction.
+    """
 
     def __init__(self, nodes: Iterable[str]):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
+        self._adj: dict[str, dict[str, str]] = {v: {} for v in self.nodes}
+        if len(self._adj) != len(self.nodes):
             raise ValueError("duplicate node names")
-        self._out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        self._in: dict[str, set[str]] = {v: set() for v in self.nodes}
-        self._und: dict[str, set[str]] = {v: set() for v in self.nodes}
 
     # -- construction -----------------------------------------------------
-    def _check_pair(self, a: str, b: str) -> None:
+    def _add(self, a: str, b: str, mark: str) -> None:
         if a == b:
             raise ValueError(f"self-loop on {a!r}")
-        if a not in self._out or b not in self._out:
+        if a not in self._adj or b not in self._adj:
             raise KeyError(f"unknown node in edge {a!r}-{b!r}")
-        if self.has_edge(a, b):
+        if b in self._adj[a]:
             raise ValueError(f"pair {a!r},{b!r} already has an edge")
+        self._adj[a][b], self._adj[b][a] = mark, _MIRROR[mark]
 
     def add_directed(self, a: str, b: str) -> None:
-        self._check_pair(a, b)
-        self._out[a].add(b)
-        self._in[b].add(a)
+        self._add(a, b, _OUT)
 
     def add_undirected(self, a: str, b: str) -> None:
-        self._check_pair(a, b)
-        self._und[a].add(b)
-        self._und[b].add(a)
+        self._add(a, b, _UND)
 
     def remove_edge(self, a: str, b: str) -> None:
-        self._out[a].discard(b)
-        self._out[b].discard(a)
-        self._in[a].discard(b)
-        self._in[b].discard(a)
-        self._und[a].discard(b)
-        self._und[b].discard(a)
+        self._adj[a].pop(b, None)
+        self._adj[b].pop(a, None)
 
     def orient(self, a: str, b: str) -> None:
         """Turn the undirected edge a - b into a -> b."""
-        if b not in self._und[a]:
+        if self._adj[a].get(b) != _UND:
             raise ValueError(f"no undirected edge {a!r}-{b!r}")
-        self._und[a].discard(b)
-        self._und[b].discard(a)
-        self._out[a].add(b)
-        self._in[b].add(a)
+        self._adj[a][b], self._adj[b][a] = _OUT, _IN
 
     def copy(self) -> "PDag":
         g = PDag(self.nodes)
-        g._out = {v: set(s) for v, s in self._out.items()}
-        g._in = {v: set(s) for v, s in self._in.items()}
-        g._und = {v: set(s) for v, s in self._und.items()}
+        g._adj = {v: dict(ends) for v, ends in self._adj.items()}
         return g
 
     # -- queries ----------------------------------------------------------
+    def _marked(self, v: str, mark: str) -> set[str]:
+        return {w for w, m in self._adj[v].items() if m == mark}
+
     def has_directed(self, a: str, b: str) -> bool:
-        return b in self._out[a]
+        return self._adj[a].get(b) == _OUT
 
     def has_undirected(self, a: str, b: str) -> bool:
-        return b in self._und[a]
+        return self._adj[a].get(b) == _UND
 
     def has_edge(self, a: str, b: str) -> bool:
-        return b in self._out[a] or a in self._out[b] or b in self._und[a]
+        return b in self._adj[a]
 
     def parents(self, v: str) -> set[str]:
-        return set(self._in[v])
+        return self._marked(v, _IN)
 
     def children(self, v: str) -> set[str]:
-        return set(self._out[v])
+        return self._marked(v, _OUT)
 
     def undirected_neighbors(self, v: str) -> set[str]:
-        return set(self._und[v])
+        return self._marked(v, _UND)
 
     def adjacent(self, v: str) -> set[str]:
-        return self._in[v] | self._out[v] | self._und[v]
+        return set(self._adj[v])
 
     def directed_edges(self) -> list[tuple[str, str]]:
-        return sorted((a, b) for a in self.nodes for b in self._out[a])
+        return sorted((a, b) for a in self.nodes for b in self._marked(a, _OUT))
 
     def undirected_edges(self) -> list[tuple[str, str]]:
-        return sorted((a, b) for a in self.nodes for b in self._und[a] if a < b)
+        return sorted((a, b) for a in self.nodes for b in self._marked(a, _UND) if a < b)
 
     def is_acyclic(self) -> bool:
         """Whether the directed part has no cycle (undirected marks ignored)."""
@@ -121,40 +123,44 @@ class PDag:
         return True
 
     def topological_order(self) -> list[str]:
+        """Depth-first post-order reversed, roots and children in name order.
+
+        The walk keeps its own stack of (node, children left) instead of
+        recursing, so a directed path of any length is ordered;
+        :func:`climb.sampling.forward_sample` draws in this order.
+        """
         order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(v: str) -> None:
-            state[v] = 1
-            for w in sorted(self._out[v]):
-                s = state.get(w, 0)
-                if s == 1:
-                    raise ValueError("graph has a directed cycle")
-                if s == 0:
-                    visit(w)
-            state[v] = 2
-            order.append(v)
-
-        for v in sorted(self.nodes):
-            if state.get(v, 0) == 0:
-                visit(v)
+        done: set[str] = set()
+        for root in sorted(self.nodes):
+            if root in done:
+                continue
+            on_path = {root}
+            stack = [(root, iter(sorted(self.children(root))))]
+            while stack:
+                v, todo = stack[-1]
+                for w in todo:
+                    if w in on_path:
+                        raise ValueError("graph has a directed cycle")
+                    if w not in done:
+                        on_path.add(w)
+                        stack.append((w, iter(sorted(self.children(w)))))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(v)
+                    done.add(v)
+                    order.append(v)
         order.reverse()
         return order
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PDag):
             return NotImplemented
-        return (
-            set(self.nodes) == set(other.nodes)
-            and self.directed_edges() == other.directed_edges()
-            and self.undirected_edges() == other.undirected_edges()
-        )
+        return self._adj == other._adj
 
     def __repr__(self) -> str:
-        return (
-            f"PDag({len(self.nodes)} nodes, {len(self.directed_edges())} directed, "
-            f"{len(self.undirected_edges())} undirected)"
-        )
+        directed, undirected = len(self.directed_edges()), len(self.undirected_edges())
+        return f"PDag({len(self.nodes)} nodes, {directed} directed, {undirected} undirected)"
 
     # -- serialization ----------------------------------------------------
     def to_json_obj(self) -> dict:
@@ -173,10 +179,7 @@ class PDag:
             where = f"partial DAG edge {i}"
             _json_typed(e, dict, where)
             a, b = (_json_field(e, key, str, where) for key in ("a", "b"))
-            if _json_field(e, "directed", bool, where):
-                g.add_directed(a, b)
-            else:
-                g.add_undirected(a, b)
+            g._add(a, b, _OUT if _json_field(e, "directed", bool, where) else _UND)
         return g
 
 

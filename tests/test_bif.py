@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -200,6 +201,38 @@ class TestParse:
         assert net.cpts["A"].sum() == pytest.approx(1.0, abs=1e-12)
 
 
+# each refusal of the parser, with the token it points at
+_REFUSALS = {
+    "not-a-number": (CHILD.replace("0.25, 0.75", "0.25, x"), "expected a number, found 'x'", 5, 33),
+    "block-keyword": (CHILD + "varaible R { }\n",
+                      "expected 'network', 'variable' or 'probability', found 'varaible'", 10, 1),
+    "declared-twice": (CHILD.replace("variable Q", "variable P"), "variable 'P' declared twice", 4, 10),
+    "cardinality-word": (CHILD.replace("[ 2 ]", "[ two ]"), "expected an integer cardinality, found 'two'", 3, 30),
+    "cardinality-zero": (CHILD.replace("[ 2 ]", "[ 0 ]"), "cardinality must be >= 1", 3, 30),
+    "label-count": (CHILD.replace("{ lo, hi }", "{ lo, hi, mid }"),
+                    "variable 'P' declares 2 values but lists 3", 3, 10),
+    "unknown-child": (CHILD.replace("( P )", "( R )"), "unknown variable 'R'", 5, 15),
+    "duplicate-block": (CHILD + "probability ( P ) { table 0.5, 0.5; }\n",
+                        "duplicate probability block for 'P'", 10, 15),
+    "empty-parent-list": (CHILD.replace("( Q | P )", "( Q | )"), "empty parent list", 6, 13),
+    "bar-or-paren": (CHILD.replace("( P )", "( P P )"), "expected '|' or ')', found 'P'", 5, 17),
+    "unknown-parent-value": (CHILD.replace("( lo )", "( mid )"), "'mid' is not a value of 'P'", 7, 5),
+    "short-row": (CHILD.replace("( lo )", "( )"), "row for 'Q' lists 0 parent values, expected 1", 7, 3),
+    "probability-count": (CHILD.replace("0.5, 0.25, 0.25", "0.5, 0.5"),
+                          "row for 'Q' lists 2 probabilities, expected 3", 7, 3),
+    "duplicate-row": (CHILD.replace("( hi )", "( lo )"), "duplicate row for 'Q'", 8, 3),
+    "block-body": (CHILD.replace("table 0.25", "tabel 0.25"), "expected 'table', '(' or '}', found 'tabel'", 5, 21),
+}
+
+
+@pytest.mark.parametrize("text, message, line, col", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_parse_refusal_pinned(text, message, line, col):
+    with pytest.raises(BifParseError) as err:
+        parse_bif(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "maker",
@@ -265,6 +298,78 @@ class TestBayesNetValidation:
                 {"A": ()},
                 {"A": np.array([[0.5, 0.25, 0.25]])},
             )
+
+
+def _pair_net(parents, q_cpt=None):
+    """P and Q of two values each, Q's parents as given."""
+    rows = 2 ** len(parents["Q"])
+    cpts = {"P": np.array([[0.5, 0.5]]), "Q": np.full((rows, 2), 0.5) if q_cpt is None else q_cpt}
+    if parents["P"]:
+        cpts["P"] = np.full((2, 2), 0.5)
+    return BayesNet("pair", ("P", "Q"), {"P": ("x", "y"), "Q": ("x", "y")}, parents, cpts)
+
+
+@pytest.mark.parametrize(
+    "parents, q_cpt, message",
+    [
+        ({"P": (), "Q": ("P", "P")}, None, "parent 'P' listed twice for 'Q'"),
+        ({"P": (), "Q": ("Z",)}, None, "parent 'Z' of 'Q' is not a node"),
+        ({"P": (), "Q": ()}, np.array([[1.5, -0.5]]), "Q: negative probability"),
+        ({"P": ("Q",), "Q": ("P",)}, None, "parent structure has a cycle between 'P' and 'Q'"),
+    ],
+    ids=["repeated-parent", "unknown-parent", "negative-probability", "two-node-cycle"],
+)
+def test_bayes_net_refusal_pinned(parents, q_cpt, message):
+    with pytest.raises(ValueError) as err:
+        _pair_net(parents, q_cpt)
+    assert str(err.value) == message
+
+
+def test_bayes_net_refuses_a_longer_cycle():
+    cpt = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError) as err:
+        BayesNet("loop3", ("A", "B", "C"), {v: ("x", "y") for v in "ABC"},
+                 {"A": ("C",), "B": ("A",), "C": ("B",)}, {v: cpt for v in "ABC"})
+    assert str(err.value) == "parent structure has a cycle"
+
+
+_NOT_WORDS = {
+    "empty": "",
+    "space": "low value",
+    "tab": "low\tvalue",
+    "newline": "low\n",
+    "no-break-space": "low\xa0value",
+    **{f"punct-{c}": f"a{c}b" for c in "{}()[]|,;"},
+    "comment": "a//b",
+}
+
+
+class TestSerializeRefusals:
+    """``serialize_bif`` refuses every name that would not parse back as one word."""
+
+    @pytest.mark.parametrize("bad", list(_NOT_WORDS.values()), ids=list(_NOT_WORDS))
+    @pytest.mark.parametrize("where", ["network", "node", "label"])
+    def test_name_refused(self, where, bad):
+        net = parse_bif(CHILD)
+        if where == "network":
+            net, message = dataclasses.replace(net, name=bad), f"network name {bad!r} is not one BIF word"
+        elif where == "node":
+            net = BayesNet("pair", ("P", bad), {"P": net.labels["P"], bad: net.labels["Q"]},
+                           {"P": (), bad: ("P",)}, {"P": net.cpts["P"], bad: net.cpts["Q"]})
+            message = f"node {bad!r} is not one BIF word"
+        else:
+            net = dataclasses.replace(net, labels={**net.labels, "Q": ("a", bad, "c")})
+            message = f"label {bad!r} of node 'Q' is not one BIF word"
+        with pytest.raises(ValueError) as err:
+            serialize_bif(net)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("word", ["a/b", "x/", "/y", "0.5", "über", "table"])
+    def test_odd_words_round_trip(self, word):
+        net = parse_bif(CHILD)
+        net = dataclasses.replace(net, name=word, labels={**net.labels, "P": (word, "hi")})
+        again = parse_bif(serialize_bif(net))
+        assert (again.name, again.labels) == (net.name, net.labels)
 
 
 class TestExactJoint:

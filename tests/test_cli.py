@@ -1,10 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from climb.bif import serialize_bif
+from climb.bif import BayesNet, serialize_bif
 from climb.cli import main
 from climb.csvio import write_csv
 from climb.netgen import blanket_demo_network
@@ -427,3 +428,41 @@ class TestBench:
         assert message in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert not (tmp_path / "out").exists()
+
+
+class TestDiscoveryCpdag:
+    """``climb bench discovery --cpdag``: scored against the network of its node set, or refused."""
+
+    def test_matching_network_scored(self, workdir, tmp_path):
+        cpdag = tmp_path / "truth.json"
+        cpdag.write_text(json.dumps(blanket_demo_network().dag().to_json_obj()))
+        res = run_cli("bench", "discovery", "--out-dir", tmp_path / "out", "--bif", workdir / "demo.bif",
+                      "-n", 200, "--replicates", 1, "--cpdag", cpdag)
+        assert res.exit_code == 0
+        obj = json.loads((tmp_path / "out" / "discovery.json").read_text())
+        assert obj["config"]["external"] == ["blanket_demo"]
+        ext = {row["method"]: row for row in obj["rows"] if row["method"].startswith("ext")}
+        assert sorted(ext) == ["ext", "ext_climb"]
+        assert (ext["ext"]["f1"], ext["ext"]["acyclic"], ext["ext_climb"]["undirected"]) == (1.0, True, 0)
+
+    def test_no_matching_network_refused(self, workdir, tmp_path):
+        cpdag = tmp_path / "other.json"
+        cpdag.write_text(json.dumps({"nodes": ["T", "ZZ"], "edges": [{"a": "T", "b": "ZZ", "directed": True}]}))
+        res = CliRunner().invoke(main, ["bench", "discovery", "--out-dir", str(tmp_path / "out"),
+                                        "--bif", str(workdir / "demo.bif"), "--cpdag", str(cpdag)])
+        assert res.exit_code == 2
+        assert res.output == "external partial DAG matches no supplied network\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_sample_a_long_chain(tmp_path):
+    # 1,200 nodes in a directed path: ordering them must not recurse once per node
+    nodes = tuple(f"X{i:04d}" for i in range(1200))
+    cpt = np.array([[0.3, 0.7], [0.6, 0.4]])
+    net = BayesNet("chain", nodes, {v: ("a", "b") for v in nodes},
+                   {v: nodes[i - 1:i] for i, v in enumerate(nodes)},
+                   {v: cpt if i else np.array([[0.5, 0.5]]) for i, v in enumerate(nodes)})
+    (tmp_path / "chain.bif").write_text(serialize_bif(net))
+    res = run_cli("sample", "--bif", tmp_path / "chain.bif", "-n", 10, "--out", tmp_path / "chain.csv")
+    assert res.exit_code == 0
+    assert (tmp_path / "chain.csv").read_text().splitlines()[0] == ",".join(nodes)

@@ -328,3 +328,19 @@ def test_table_keeps_its_own_copy_of_a_callers_columns():
     t = CategoricalTable(("a",), (col,), (2,))
     col[:] = 1
     assert t.columns[0].tolist() == [0, 1, 1, 0] and not t.columns[0].flags.writeable
+
+
+@pytest.mark.parametrize(
+    "names, columns, cards, message",
+    [
+        (("a", "b"), ([0, 1],), (2, 2), "names, columns and cards must have equal length"),
+        (("a",), ([[0, 1]],), (2,), "column 'a': expected 1-d code vector"),
+        (("a", "b"), ([0, 1], [0]), (2, 2), "columns differ in length"),
+        (("a", "b"), ([0, 1], [0, 2]), (2, 2), "column 'b': code outside [0, 2)"),
+    ],
+    ids=["lengths", "not-1d", "ragged", "code-outside"],
+)
+def test_table_refusal_pinned(names, columns, cards, message):
+    with pytest.raises(ValueError) as err:
+        CategoricalTable(names, tuple(np.asarray(c) for c in columns), cards)
+    assert str(err.value) == message

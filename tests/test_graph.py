@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from climb.citests import make_test
 from climb.graph import (
     PDag,
+    _apply_closure_rules,
     climb_orient,
     d_separated,
     directed_edge_metrics,
@@ -547,3 +548,120 @@ class TestMetrics:
         p, r, f = mb_set_metrics(pred, truth)
         assert p == pytest.approx(1.0)
         assert r == pytest.approx(0.75)  # average of 0.5 and 1.0
+
+
+def _reference_order(g: PDag) -> list[str]:
+    """Depth-first post-order reversed, roots and children in name order, by recursion."""
+    order: list[str] = []
+    state: dict[str, int] = {}
+
+    def visit(v: str) -> None:
+        state[v] = 1
+        for w in sorted(g.children(v)):
+            s = state.get(w, 0)
+            if s == 1:
+                raise ValueError("graph has a directed cycle")
+            if s == 0:
+                visit(w)
+        state[v] = 2
+        order.append(v)
+
+    for v in sorted(g.nodes):
+        if state.get(v, 0) == 0:
+            visit(v)
+    return order[::-1]
+
+
+def chain(n: int) -> PDag:
+    """The directed path v0000 -> v0001 -> ... over n nodes, listed in reverse."""
+    names = [f"v{i:04d}" for i in range(n)]
+    g = PDag(names[::-1])
+    for a, b in zip(names, names[1:]):
+        g.add_directed(a, b)
+    return g
+
+
+class TestWalk:
+    """``topological_order`` walks without recursion, in the recursive walk's order."""
+
+    def test_long_chain_is_ordered(self):
+        g = chain(5000)
+        assert g.is_acyclic()
+        assert g.topological_order() == sorted(g.nodes)
+
+    def test_long_cycle_is_cyclic(self):
+        g = chain(5000)
+        g.add_directed("v4999", "v0000")
+        assert not g.is_acyclic()
+        with pytest.raises(ValueError, match="graph has a directed cycle"):
+            g.topological_order()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.sampled_from([None, "fwd", "back", "und"]), max_size=36),
+           st.randoms(use_true_random=False))
+    def test_order_matches_recursive_reference(self, n, marks, rng):
+        # marks go to the node pairs in a shuffled order, the nodes are listed shuffled
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(names, 2))
+        rng.shuffle(pairs)
+        rng.shuffle(names)
+        g = PDag(names)
+        for (a, b), mark in zip(pairs, marks):
+            if mark == "back":
+                g.add_directed(b, a)
+            elif mark == "und":
+                g.add_undirected(a, b)
+            elif mark is not None:
+                g.add_directed(a, b)
+        try:
+            expected = _reference_order(g)
+        except ValueError:
+            assert not g.is_acyclic()
+            with pytest.raises(ValueError, match="graph has a directed cycle"):
+                g.topological_order()
+        else:
+            assert g.topological_order() == expected
+
+
+class TestRefusals:
+    def test_duplicate_node(self):
+        with pytest.raises(ValueError, match="^duplicate node names$"):
+            PDag(("a", "b", "a"))
+
+    @pytest.mark.parametrize("edge", [None, ("a", "b"), ("b", "a")], ids=["no-edge", "forward", "backward"])
+    def test_orient_needs_an_undirected_edge(self, edge):
+        g = PDag(("a", "b"))
+        if edge:
+            g.add_directed(*edge)
+        with pytest.raises(ValueError, match="^no undirected edge 'a'-'b'$"):
+            g.orient("a", "b")
+
+    def test_metrics_need_one_node_set(self):
+        with pytest.raises(ValueError, match="^graphs must share a node set$"):
+            directed_edge_metrics(PDag(("a", "b")), PDag(("a", "c")))
+
+
+def closure_result(undirected, directed):
+    g = PDag(("w", "x", "y", "z"))
+    for a, b in undirected:
+        g.add_undirected(a, b)
+    for a, b in directed:
+        g.add_directed(a, b)
+    _apply_closure_rules(g)
+    return g
+
+
+class TestClosureRules:
+    """Meek's rules 3 and 4, each the only rule that fires on its graph."""
+
+    def test_rule_three(self):
+        # x - z, x - w, x - y and z -> y <- w with z, w non-adjacent
+        g = closure_result([("x", "z"), ("x", "w"), ("x", "y")], [("z", "y"), ("w", "y")])
+        assert g.directed_edges() == [("w", "y"), ("x", "y"), ("z", "y")]
+        assert g.undirected_edges() == [("w", "x"), ("x", "z")]
+
+    def test_rule_four(self):
+        # x - z -> w -> y with x - w, x - y and z, y non-adjacent
+        g = closure_result([("x", "z"), ("x", "w"), ("x", "y")], [("z", "w"), ("w", "y")])
+        assert g.directed_edges() == [("w", "y"), ("x", "y"), ("z", "w")]
+        assert g.undirected_edges() == [("w", "x"), ("x", "z")]
