@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -246,6 +246,22 @@ def run_dsep_benchmark(
 # -- Markov blanket benchmark -------------------------------------------------
 
 
+def _capped(nodes: Iterable[str], search: Callable[[str], object], failures: list[dict],
+            **where) -> dict:
+    """``search(v)`` for every node ``v`` that stays within the partition cap.
+
+    A node refused by the cap gets a failure row (``where`` plus node and
+    error) and no entry in the result, whose keys keep the order of ``nodes``.
+    """
+    found = {}
+    for v in nodes:
+        try:
+            found[v] = search(v)
+        except PartitionCapError as exc:
+            failures.append({**where, "node": v, "error": str(exc)})
+    return found
+
+
 def _climb_sweep(
     net: BayesNet,
     data: CategoricalTable,
@@ -255,25 +271,16 @@ def _climb_sweep(
     failures: list[dict],
     **where,
 ) -> dict[str, dict[str, set[str]]]:
-    """CLIMB roles of every node of ``net`` that stays within the partition cap.
+    """CLIMB roles of every node of ``net``, through :func:`_capped`.
 
     All nodes share ``tester``, which memoises each node's one-sided search.
-    A node refused by the cap gets a failure row (``where`` plus node and
-    error) and no entry in the result, whose keys keep ``net.nodes`` order.
     """
-    roles: dict[str, dict[str, set[str]]] = {}
-    for v in net.nodes:
-        try:
-            res = climb(data, data.index_of(v), tester, max_cond, cap)
-        except PartitionCapError as exc:
-            failures.append({**where, "node": v, "error": str(exc)})
-            continue
-        roles[v] = {
-            "parents": {data.names[i] for i in res.parents},
-            "children": {data.names[i] for i in res.children},
-            "spouses": {data.names[i] for i in res.spouses},
-        }
-    return roles
+    def search(v: str) -> dict[str, set[str]]:
+        res = climb(data, data.index_of(v), tester, max_cond, cap)
+        return {role: {data.names[i] for i in getattr(res, role)}
+                for role in ("parents", "children", "spouses")}
+
+    return _capped(net.nodes, search, failures, **where)
 
 
 def _blankets(method: str, net: BayesNet, data: CategoricalTable, tester: IndependenceTest,
@@ -281,7 +288,7 @@ def _blankets(method: str, net: BayesNet, data: CategoricalTable, tester: Indepe
     """Undirected blanket of every node of ``net`` by ``method`` (``climb_*`` or ``pcmb_*``).
 
     CLIMB leaves out the nodes its partition cap refuses, each with a failure
-    row as in :func:`_climb_sweep`; the keys keep ``net.nodes`` order.
+    row as in :func:`_capped`; the keys keep ``net.nodes`` order.
     """
     if method.startswith("climb"):
         roles = _climb_sweep(net, data, tester, max_cond, cap, failures, **where)
@@ -370,24 +377,21 @@ def run_partition_benchmark(
     """
     _distinct(sizes=sizes)
     dag = net.dag()
+    # the true parents and children of every node that has any, in net.nodes order
+    truth = {v: (dag.parents(v), dag.children(v)) for v in net.nodes if dag.adjacent(v)}
     rows = []
     failures = []
     for n, rep, rep_seed, data in _samples(net, sizes, replicates, seed):
         idx = {v: i for i, v in enumerate(data.names)}
-        accs = []
-        for v in net.nodes:
-            pa, ch = dag.parents(v), dag.children(v)
-            pc = pa | ch
-            if not pc:
-                continue
-            try:
-                part = find_best_partition(data, idx[v], {idx[u] for u in pc}, cap)
-            except PartitionCapError as exc:
-                failures.append({"n": n, "replicate": rep, "node": v, "error": str(exc)})
-                continue
+
+        def accuracy(v: str) -> float:
+            pa, ch = truth[v]
+            part = find_best_partition(data, idx[v], {idx[u] for u in pa | ch}, cap)
             got_pa = {data.names[i] for i in part.parents}
             got_ch = {data.names[i] for i in part.children}
-            accs.append((len(got_pa & pa) + len(got_ch & ch)) / len(pc))
+            return (len(got_pa & pa) + len(got_ch & ch)) / len(pa | ch)
+
+        accs = list(_capped(truth, accuracy, failures, n=n, replicate=rep).values())
         rows.append({"n": n, "replicate": rep, "seed": rep_seed, "accuracy": _mean_or_none(accs)})
     config = {"net": net.name, "sizes": list(sizes), "replicates": replicates, "seed": seed, "cap": cap}
     return ExperimentResult("partition", config, rows, ("n",), failures)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import PDag
+from .graph import PDag, _reaches
 
 __all__ = ["BayesNet", "BifParseError", "parse_bif", "serialize_bif"]
 
@@ -47,6 +47,9 @@ class BayesNet:
         dag = self.dag()
         for v in self.nodes:
             k = len(self.labels[v])
+            if len(set(self.labels[v])) < k:
+                label = next(x for i, x in enumerate(self.labels[v]) if x in self.labels[v][:i])
+                raise ValueError(f"value {label!r} listed twice for {v!r}")
             rows = math.prod(len(self.labels[p]) for p in self.parents[v])
             cpt = self.cpts[v]
             if cpt.shape != (rows, k):
@@ -177,6 +180,7 @@ def parse_bif(text: str) -> BayesNet:
     decl: dict[str, _Token] = {}  # variable name -> its name token, in declaration order
     labels: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
+    children: dict[str, list[str]] = {}  # the reverse of parents, for the cycle check
     cpts: dict[str, np.ndarray] = {}
 
     while not ts.at_end():
@@ -191,7 +195,7 @@ def parse_bif(text: str) -> BayesNet:
         elif tok.text == "variable":
             _parse_variable(ts, decl, labels)
         elif tok.text == "probability":
-            _parse_probability(ts, labels, parents, cpts)
+            _parse_probability(ts, labels, parents, children, cpts)
         else:
             raise BifParseError(
                 f"expected 'network', 'variable' or 'probability', found {tok.text!r}",
@@ -241,7 +245,7 @@ def _parse_variable(ts: _TokenStream, decl: dict, labels: dict) -> None:
     labels[v] = tuple(cats)
 
 
-def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict) -> None:
+def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, children: dict, cpts: dict) -> None:
     open_tok = ts.expect("(")
     child_tok = ts.next("variable name")
     child = child_tok.text
@@ -260,7 +264,8 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
                 raise BifParseError(f"self-loop on {child!r}", p_tok.line, p_tok.col)
             if p in par:
                 raise BifParseError(f"parent {p!r} listed twice for {child!r}", p_tok.line, p_tok.col)
-            if child in _ancestors(parents, p):
+            # p -> child closes a cycle when child already reaches p
+            if _reaches(child, p, lambda v: children.get(v, ()), lambda v: parents.get(v, ())):
                 between = f" between {p!r} and {child!r}" if child in parents[p] else ""
                 raise BifParseError(f"parent structure has a cycle{between}", p_tok.line, p_tok.col)
             par.append(p)
@@ -335,20 +340,10 @@ def _parse_probability(ts: _TokenStream, labels: dict, parents: dict, cpts: dict
             f"row {bad} for {child!r} sums to {sums[bad]:.8f}, not 1", open_tok.line, open_tok.col
         )
     parents[child] = tuple(par)
+    for p in par:
+        children.setdefault(p, []).append(child)
     cpt /= sums[:, None]  # exact row normalization after the tolerance check
     cpts[child] = cpt
-
-
-def _ancestors(parents: dict, v: str) -> set[str]:
-    """The ancestors of ``v`` under the parent lists read so far."""
-    seen: set[str] = set()
-    stack = list(parents.get(v, ()))
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(parents.get(u, ()))
-    return seen
 
 
 def _read_values(ts: _TokenStream) -> list[float]:
@@ -380,23 +375,17 @@ def serialize_bif(net: BayesNet) -> str:
         par = net.parents[v]
         cpt = net.cpts[v]
         if not par:
-            vals = ", ".join(_fmt(x) for x in cpt[0])
+            vals = ", ".join(map(repr, cpt[0].tolist()))
             out.append(f"probability ( {v} ) {{\n  table {vals};\n}}\n")
             continue
         head = ", ".join(par)
         lines = [f"probability ( {v} | {head} ) {{"]
         # product() steps the last parent fastest: the CPT row order
         for cfg, row in zip(itertools.product(*(net.labels[p] for p in par)), cpt):
-            lines.append(f"  ( {', '.join(cfg)} ) {', '.join(_fmt(x) for x in row)};")
+            lines.append(f"  ( {', '.join(cfg)} ) {', '.join(map(repr, row.tolist()))};")
         lines.append("}\n")
         out.append("\n".join(lines))
     return "\n".join(out)
-
-
-def _fmt(x: float) -> str:
-    if x == int(x):
-        return f"{x:.1f}"
-    return repr(float(x))
 
 
 def exact_joint(net: BayesNet) -> tuple[np.ndarray, list[str]]:

@@ -6,12 +6,17 @@ skeleton, CPDAG and DAG representation throughout. It holds each edge as
 one mark at each of its two ends, in one adjacency map, and walks its
 directed part iteratively, so a path of any length is ordered without
 recursion.
+
+Every other reachability question goes through one lazy walk: :func:`_walk`
+yields the nodes a step function reaches, each once, and :func:`_reaches`
+runs two of them towards each other (down from one node, up from the other)
+and stops at the first meeting or when either runs out.
 """
 from __future__ import annotations
 
 import logging
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .blanket import _check_search, _Terms
 from .blanket import score_partition  # noqa: F401  (still importable from this module)
@@ -20,6 +25,8 @@ from .nml import RegretTable
 from .table import CategoricalTable
 
 log = logging.getLogger(__name__)
+
+_N = TypeVar("_N", bound=Hashable)
 
 __all__ = [
     "PDag",
@@ -459,47 +466,61 @@ def mb_set_metrics(
     return sum(ps) / len(ps), sum(rs) / len(rs), sum(fs) / len(fs)
 
 
+# -- reachability ------------------------------------------------------------
+
+
+def _walk(starts: Iterable[_N], step: Callable[[_N], Iterable[_N]]) -> Iterator[_N]:
+    """``starts``, then every new node that ``step`` reaches from a yielded one.
+
+    Each node is yielded once, as soon as it is found, so a caller that stops
+    early pays only for what it read.
+    """
+    todo = list(dict.fromkeys(starts))
+    seen = set(todo)
+    yield from todo
+    while todo:
+        for w in step(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+                yield w
+
+
+def _reaches(a: _N, b: _N, down: Callable[[_N], Iterable[_N]], up: Callable[[_N], Iterable[_N]]) -> bool:
+    """Whether ``down`` steps lead from ``a`` to ``b``; ``up`` must be their reverse.
+
+    A walk down from ``a`` and one up from ``b`` advance in turn, so the
+    answer costs at most twice the smaller of the two closures.
+    """
+    return any(d == b or u == a for d, u in zip(_walk([a], down), _walk([b], up)))
+
+
 # -- ground-truth oracle ----------------------------------------------------
 
 
 def d_separated(dag: PDag, x: str, y: str, z: Iterable[str]) -> bool:
     """Whether z blocks every active path between x and y in a DAG.
 
-    Standard reachability over active trails: colliders stay passable only
-    while an ancestor of the conditioning set, everything else only while
-    outside it.
+    Standard reachability over active trails (Bayes-Ball): colliders stay
+    passable only while an ancestor of the conditioning set, everything else
+    only while outside it. ``ValueError`` names a node of x, y or z that is
+    not in ``dag``, and refuses a graph with undirected edges.
     """
     if dag.undirected_edges():
         raise ValueError("d-separation needs a fully directed graph")
+    z = tuple(z)
+    for v in (x, y, *z):
+        if v not in dag._adj:
+            raise ValueError(f"{v!r} is not a node of the graph")
     zset = set(z)
-    anc = set(zset)
-    stack = list(zset)
-    while stack:
-        for p in dag.parents(stack.pop()):
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
+    anc = set(_walk(zset, dag.parents))
+
     # (node, direction) states: True = entered through an arrow into the node
-    seen: set[tuple[str, bool]] = set()
-    frontier: list[tuple[str, bool]] = [(x, False)]
-    while frontier:
-        v, inbound = frontier.pop()
-        if (v, inbound) in seen:
-            continue
-        seen.add((v, inbound))
-        if v == y and v not in zset:
-            return False
-        if not inbound:
-            if v not in zset:
-                for p in dag.parents(v):
-                    frontier.append((p, False))
-                for c in dag.children(v):
-                    frontier.append((c, True))
-        else:
-            if v not in zset:
-                for c in dag.children(v):
-                    frontier.append((c, True))
-            if v in anc:
-                for p in dag.parents(v):
-                    frontier.append((p, False))
-    return True
+    def step(state: tuple[str, bool]) -> list[tuple[str, bool]]:
+        v, inbound = state
+        out = [] if v in zset else [(c, True) for c in dag.children(v)]
+        if (v in anc) if inbound else (v not in zset):
+            out += [(p, False) for p in dag.parents(v)]
+        return out
+
+    return y in zset or not any(v == y for v, _ in _walk([(x, False)], step))

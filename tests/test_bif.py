@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+
+import climb.graph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -379,3 +381,60 @@ class TestExactJoint:
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
         p_marginal = joint.sum(axis=nodes.index("Q"))
         assert np.allclose(p_marginal, [0.25, 0.75])
+
+
+def test_bayes_net_refuses_a_repeated_label():
+    # serialize_bif would write it, and parse_bif would refuse the text
+    with pytest.raises(ValueError) as err:
+        BayesNet("n", ("A",), {"A": ("x", "y", "x")}, {"A": ()}, {"A": np.full((1, 3), 1 / 3)})
+    assert str(err.value) == "value 'x' listed twice for 'A'"
+
+
+def test_integral_probabilities_round_trip():
+    net = parse_bif(CHILD.replace("0.5, 0.25, 0.25", "1.0, 0.0, 0.0"))
+    text = serialize_bif(net)
+    assert "( lo ) 1.0, 0.0, 0.0;" in text
+    assert np.array_equal(parse_bif(text).cpts["Q"], net.cpts["Q"])
+
+
+def test_exact_joint_refuses_a_large_network():
+    nodes = tuple(f"X{i}" for i in range(21))  # 2^21 > 2,000,000 joint states
+    net = BayesNet("wide", nodes, {v: ("a", "b") for v in nodes}, {v: () for v in nodes},
+                   {v: np.array([[0.5, 0.5]]) for v in nodes})
+    with pytest.raises(ValueError, match="^joint distribution too large to enumerate$"):
+        exact_joint(net)
+
+
+class TestLongChain:
+    """A directed path parses in time linear in its length, whatever the block order."""
+
+    N = 5000
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        nodes = tuple(f"X{i}" for i in range(self.N))
+        net = BayesNet("chain", nodes, {v: ("a", "b") for v in nodes},
+                       {v: nodes[i - 1:i] for i, v in enumerate(nodes)},
+                       {v: np.array([[0.7, 0.3], [0.2, 0.8]]) if i else np.array([[0.5, 0.5]])
+                        for i, v in enumerate(nodes)})
+        return net, serialize_bif(net)
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_parses_with_a_bounded_walk(self, chain, order, monkeypatch):
+        net, text = chain
+        if order == "reversed":
+            head, *blocks = text.split("probability ")
+            text = head + "".join("probability " + b for b in reversed(blocks))
+        steps = 0
+        walk = climb.graph._walk
+
+        def counting(starts, step):
+            nonlocal steps
+            for v in walk(starts, step):
+                steps += 1
+                yield v
+
+        monkeypatch.setattr(climb.graph, "_walk", counting)
+        again = parse_bif(text)
+        assert again.parents == net.parents
+        assert 0 < steps <= 4 * self.N

@@ -466,3 +466,20 @@ def test_sample_a_long_chain(tmp_path):
     res = run_cli("sample", "--bif", tmp_path / "chain.bif", "-n", 10, "--out", tmp_path / "chain.csv")
     assert res.exit_code == 0
     assert (tmp_path / "chain.csv").read_text().splitlines()[0] == ",".join(nodes)
+
+
+def test_bench_exits_2_after_writing_its_files(tmp_path):
+    # a hub with 21 children: its parents-and-children set is one above the cap
+    kids = tuple(f"C{i:02d}" for i in range(21))
+    nodes = ("H",) + kids
+    net = BayesNet("hub", nodes, {v: ("a", "b") for v in nodes}, {"H": (), **{c: ("H",) for c in kids}},
+                   {"H": np.array([[0.5, 0.5]]), **{c: np.array([[0.8, 0.2], [0.3, 0.7]]) for c in kids}})
+    (tmp_path / "hub.bif").write_text(serialize_bif(net))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["bench", "partition", "--out-dir", str(out), "--bif", str(tmp_path / "hub.bif"),
+                                    "--sizes", "200", "--replicates", "1"])
+    assert res.exit_code == 2
+    assert "1 recorded failures" in res.output
+    failures = json.loads((out / "partition.json").read_text())["failures"]
+    assert [f["node"] for f in failures] == ["H"]
+    assert (out / "partition_rows.csv").exists()

@@ -337,8 +337,9 @@ def test_table_keeps_its_own_copy_of_a_callers_columns():
         (("a",), ([[0, 1]],), (2,), "column 'a': expected 1-d code vector"),
         (("a", "b"), ([0, 1], [0]), (2, 2), "columns differ in length"),
         (("a", "b"), ([0, 1], [0, 2]), (2, 2), "column 'b': code outside [0, 2)"),
+        (("a",), ([0, 0],), (0,), "column 'a': cardinality must be >= 1"),
     ],
-    ids=["lengths", "not-1d", "ragged", "code-outside"],
+    ids=["lengths", "not-1d", "ragged", "code-outside", "card-below-1"],
 )
 def test_table_refusal_pinned(names, columns, cards, message):
     with pytest.raises(ValueError) as err:

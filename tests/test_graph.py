@@ -11,6 +11,8 @@ from climb.citests import make_test
 from climb.graph import (
     PDag,
     _apply_closure_rules,
+    _reaches,
+    _walk,
     climb_orient,
     d_separated,
     directed_edge_metrics,
@@ -665,3 +667,131 @@ class TestClosureRules:
         g = closure_result([("x", "z"), ("x", "w"), ("x", "y")], [("z", "w"), ("w", "y")])
         assert g.directed_edges() == [("w", "y"), ("x", "y"), ("z", "w")]
         assert g.undirected_edges() == [("w", "x"), ("x", "z")]
+
+
+def _reference_ancestors(parents: dict, v: str) -> set[str]:
+    """The ancestors of ``v`` under ``parents`` (absent nodes have none), by a plain worklist."""
+    seen: set[str] = set()
+    stack = list(parents.get(v, ()))
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(parents.get(u, ()))
+    return seen
+
+
+def _random_dag(n: int, p_edge: float, rng) -> PDag:
+    """A DAG over n nodes listed in a shuffled order, edges along a random order."""
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    g = PDag(names)
+    order = names[:]
+    rng.shuffle(order)
+    for i, j in combinations(range(n), 2):
+        if rng.random() < p_edge:
+            g.add_directed(order[i], order[j])
+    return g
+
+
+def _moral_separated(dag: PDag, x: str, y: str, z: set[str]) -> bool:
+    """Lauritzen's criterion: z separates x and y in the moral graph of their ancestral set."""
+    if x in z or y in z:
+        return True
+    parents = {v: dag.parents(v) for v in dag.nodes}
+    keep = {x, y} | z
+    for v in list(keep):
+        keep |= _reference_ancestors(parents, v)
+    links = {v: set() for v in keep}
+    for v in keep:
+        family = parents[v] | {v}
+        for a, b in combinations(family, 2):
+            links[a].add(b)
+            links[b].add(a)
+    reached, stack = {x}, [x]
+    while stack:
+        for w in links[stack.pop()] - z - reached:
+            reached.add(w)
+            stack.append(w)
+    return y not in reached
+
+
+class TestReachability:
+    """``_walk`` and ``_reaches``, the walk that ``d_separated`` and the BIF parser share."""
+
+    def test_walk_yields_starts_then_each_reached_node_once(self):
+        step = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a"], "d": ["a"]}.get
+        got = list(_walk(["a", "d", "a"], step))
+        assert got[:2] == ["a", "d"]
+        assert sorted(got) == ["a", "b", "c", "d"]
+
+    def test_walk_is_lazy(self):
+        asked = []
+
+        def step(v):
+            asked.append(v)
+            return [v + 1]
+
+        walk = _walk([0], step)
+        assert [next(walk) for _ in range(3)] == [0, 1, 2]
+        assert asked == [0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9), st.data())
+    def test_reaches_matches_ancestor_reference(self, n, data):
+        # parent lists for a random subset of the nodes, cycles allowed
+        names = [f"v{i}" for i in range(n)]
+        listed = data.draw(st.lists(st.sampled_from(names), unique=True))
+        parents = {v: data.draw(st.lists(st.sampled_from(names), unique=True)) for v in listed}
+        children: dict[str, list[str]] = {}
+        for c, ps in parents.items():
+            for p in ps:
+                children.setdefault(p, []).append(c)
+        for a, b in combinations(names, 2):
+            for x, y in ((a, b), (b, a)):
+                got = _reaches(x, y, lambda v: children.get(v, ()), lambda v: parents.get(v, ()))
+                assert got == (x in _reference_ancestors(parents, y))
+
+    def test_a_node_reaches_itself(self):
+        assert _reaches("a", "a", lambda v: (), lambda v: ())
+
+    def test_reaches_stops_at_the_smaller_side(self):
+        # a has 1,000 descendants and b none: the walk up from b ends at once
+        asked = []
+
+        def down(v):
+            asked.append(v)
+            return [v + 1] if v < 1000 else []
+
+        assert not _reaches(0, -1, down, lambda v: ())
+        assert len(asked) <= 1
+
+
+class TestDSeparationChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 0.7), st.randoms(use_true_random=False))
+    def test_matches_moral_graph_criterion(self, n, p_edge, rng):
+        g = _random_dag(n, p_edge, rng)
+        for _ in range(8):
+            x, y = rng.choice(g.nodes), rng.choice(g.nodes)
+            z = set(rng.sample(g.nodes, rng.randint(0, n)))
+            assert d_separated(g, x, y, z) == _moral_separated(g, x, y, z), (x, y, z)
+
+    @pytest.mark.parametrize("args", [("Q", "T", ()), ("F", "Q", ()), ("F", "T", ("D", "Q"))],
+                             ids=["x", "y", "z"])
+    def test_unknown_node_refused(self, args):
+        with pytest.raises(ValueError, match="^'Q' is not a node of the graph$"):
+            d_separated(fixture_dag(), *args)
+
+
+class TestDunder:
+    def test_eq_against_another_type(self):
+        g = PDag(("a",))
+        assert g.__eq__("a") is NotImplemented
+        assert g != "a"
+
+    def test_repr_counts(self):
+        g = PDag(("a", "b", "c"))
+        g.add_directed("a", "b")
+        g.add_undirected("b", "c")
+        assert repr(g) == "PDag(3 nodes, 1 directed, 1 undirected)"
