@@ -112,6 +112,22 @@ def column(trees, measure, repeats: int, scale: float = 1e6, ref_scale: float = 
     return f"{refs[0]:6.2f} {refs[1]:6.2f} {ratio:5.2f}"
 
 
+def warm_cold(trees, measure, repeats: int, *scales: float, cold: bool = True) -> list[str | None]:
+    """The warm and the cold figure of ``measure``, as :func:`column` prints them.
+
+    ``measure(t, regrets)`` runs tree ``t`` once on the regret table
+    ``regrets`` and returns its seconds and reference units. Warm runs share
+    one table per tree that one untimed run filled; cold runs each start from
+    an empty one, so they include the regret fill. Without ``cold`` the cold
+    figure is ``None`` and nothing runs for it.
+    """
+    warm = [tree.nml.RegretTable() for tree in trees]
+    for t, regrets in enumerate(warm):
+        measure(t, regrets)  # fills the warm table
+    return [column(trees, lambda t: measure(t, trees[t].nml.RegretTable() if fresh else warm[t]), repeats, *scales)
+            if cold or not fresh else None for fresh in (False, True)]
+
+
 def compared(against: Path | None, unit: str, ref_unit: str) -> tuple[list, str, int]:
     """The trees to time, the unit line and the column width, with or without ``--against``."""
     if against is None:
@@ -150,17 +166,9 @@ def ci(args) -> None:
             for size in Z_SIZES:
                 for width in (1, 8, m - 1):
                     asked = batches(m, size, width, args.pairs)
-                    warm_tables = [tree.nml.RegretTable() for tree in trees]
-                    for tree, data, table in zip(trees, datas, warm_tables):
-                        per_query(tree, data, kind, asked, table)  # fills the warm table
-                    cols = [
-                        column(trees, lambda t: per_query(trees[t], datas[t], kind, asked,
-                                                          trees[t].nml.RegretTable() if cold else warm_tables[t]),
-                               args.repeats)
-                        if kind == "sci" or not cold else "-".rjust(pad)
-                        for cold in (False, True)
-                    ]
-                    print(f"{kind:4} {n:5d} {size:3d} {min(width, m - 1 - size):3d}  {cols[0]}  {cols[1]}")
+                    warm, cold = warm_cold(trees, lambda t, rt: per_query(trees[t], datas[t], kind, asked, rt),
+                                           args.repeats, cold=kind == "sci")
+                    print(f"{kind:4} {n:5d} {size:3d} {min(width, m - 1 - size):3d}  {warm}  {cold or '-'.rjust(pad)}")
 
 
 # -- orient ------------------------------------------------------------------
@@ -193,17 +201,13 @@ def orient(args) -> None:
     print(f"{'n':>6}  {'warm':>{pad}}  {'cold':>{pad}}")
     for n in args.sizes:
         inputs = [true_skeleton(tree, n) for tree in trees]
-        warm_tables = [tree.nml.RegretTable() for tree in trees]
-        for tree, (data, skeleton), table in zip(trees, inputs, warm_tables):
-            tree.climb_orient(skeleton, data, table)  # fills the warm table
 
-        def call(t: int, cold: bool) -> tuple[float, float]:
+        def call(t: int, regrets) -> tuple[float, float]:
             data, skeleton = inputs[t]
-            regrets = trees[t].nml.RegretTable() if cold else warm_tables[t]
             return timed(lambda: trees[t].climb_orient(skeleton, data, regrets))
 
-        cols = [column(trees, lambda t: call(t, cold), args.repeats, 1e3, 1.0) for cold in (False, True)]
-        print(f"{n:6d}  {cols[0]}  {cols[1]}")
+        warm, cold = warm_cold(trees, call, args.repeats, 1e3, 1.0)
+        print(f"{n:6d}  {warm}  {cold}")
 
 
 # -- partition ---------------------------------------------------------------
@@ -235,21 +239,16 @@ def partition(args) -> None:
     """
     trees, unit, _ = compared(args.against, "us per subset", "1e-3 ref per subset")
     tables = [partition_table(tree, max(args.sizes)) for tree in trees]
-    regrets = [tree.RegretTable() for tree in trees]
     print(f"n = {PARTITION_N}, repeats = {args.repeats}; {unit}")
     for k in args.sizes:
         pc = set(range(1, k + 1))
 
-        def search(t: int, cold: bool) -> tuple[float, float]:
-            table = trees[t].RegretTable() if cold else regrets[t]
-            spent, ref = timed(lambda: trees[t].find_best_partition(tables[t], 0, pc, regrets=table))
+        def search(t: int, regrets) -> tuple[float, float]:
+            spent, ref = timed(lambda: trees[t].find_best_partition(tables[t], 0, pc, regrets=regrets))
             return spent / 2 ** k, ref / 2 ** k
 
-        for t in range(len(trees)):
-            search(t, False)  # warms the regret table
-        for cold in (False, True):
-            figure = column(trees, lambda t: search(t, cold), args.repeats)
-            print(f"|PC| = {k:2d} {'cold' if cold else 'warm'}: {figure}")
+        for label, figure in zip(("warm", "cold"), warm_cold(trees, search, args.repeats)):
+            print(f"|PC| = {k:2d} {label}: {figure}")
 
 
 # -- blanket -----------------------------------------------------------------
@@ -333,23 +332,21 @@ def parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=raw)
     layers = ap.add_subparsers(dest="layer", required=True)
 
-    def layer(run, sizes: str, sizes_help: str, high: float = float("inf")):
+    def layer(run, sizes: str, sizes_help: str, high: float = float("inf"), compare: bool = True):
+        """A subcommand; a warm/cold one also takes ``--repeats`` and ``--against``."""
         sub = layers.add_parser(run.__name__, description=inspect.getdoc(run), formatter_class=raw)
         sub.add_argument("--sizes", default=sizes, type=lambda text: integers(text, high), help=sizes_help)
+        if compare:
+            sub.add_argument("--repeats", default=5, type=count, help="timed runs per figure (and tree)")
+            sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
         sub.set_defaults(run=run)
         return sub
 
     sub = layer(ci, "1000,5000", "comma-separated sample sizes")
     sub.add_argument("--pairs", default=100, type=count, help="(x, z) pairs per row")
-    sub.add_argument("--repeats", default=5, type=count, help="timed runs per figure (and tree)")
-    sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
-    sub = layer(orient, "5000", "comma-separated sample sizes")
-    sub.add_argument("--repeats", default=5, type=count, help="timed calls per figure (and tree)")
-    sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
-    sub = layer(partition, "6,10,12,14", "comma-separated |PC| sizes", CAP)
-    sub.add_argument("--repeats", default=5, type=count, help="timed searches per size (and tree)")
-    sub.add_argument("--against", type=checkout, help="root of another checkout to alternate with")
-    sub = layer(blanket, "1000,5000", "comma-separated sample sizes")
+    layer(orient, "5000", "comma-separated sample sizes")
+    layer(partition, "6,10,12,14", "comma-separated |PC| sizes", CAP)
+    sub = layer(blanket, "1000,5000", "comma-separated sample sizes", compare=False)
     sub.add_argument("--replicates", default=5, type=count, help="replicates per size")
     sub.add_argument("--seed", default=202, type=int, help="base seed of the replicate streams")
     return ap

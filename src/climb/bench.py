@@ -462,9 +462,17 @@ def run_causal_discovery(
     network adds ``ext`` and ``ext_climb`` rows (for score-based search
     output produced elsewhere). Rows, aggregates and ``external_cpdags`` go
     by network name, so two networks of one name are refused with
-    ``ValueError`` before any replicate runs.
+    ``ValueError`` before any replicate runs, and so is an external partial
+    DAG keyed by a name no network has or over another node set than its
+    network's.
     """
     _distinct(nets=[net.name for net in nets])
+    by_name = {net.name: net for net in nets}
+    for name, graph in (external_cpdags or {}).items():
+        if name not in by_name:
+            raise ValueError(f"external_cpdags: {name!r} names no network")
+        if set(graph.nodes) != set(by_name[name].nodes):
+            raise ValueError(f"external_cpdags: the graph for {name!r} is not over its network's nodes")
     rows = []
     failures = []
     for (net, truth), rep, rep_seed in _streams(seed, replicates, [(net, net.dag()) for net in nets]):

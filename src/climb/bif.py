@@ -34,7 +34,8 @@ class BayesNet:
 
     ``cpts[v]`` has one row per joint parent configuration (first declared
     parent varying slowest) and one column per category of v; every row sums
-    to one.
+    to one. ``labels``, ``parents`` and ``cpts`` each hold one entry per node
+    and none besides.
     """
 
     name: str
@@ -44,6 +45,15 @@ class BayesNet:
     cpts: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        known = set(self.nodes)
+        for field in ("labels", "parents", "cpts"):
+            given = getattr(self, field)
+            missing = next((v for v in self.nodes if v not in given), None)
+            if missing is not None:
+                raise ValueError(f"{field} has no entry for node {missing!r}")
+            extra = next((v for v in given if v not in known), None)
+            if extra is not None:
+                raise ValueError(f"{field} has an entry for {extra!r}, which is not a node")
         dag = self.dag()
         for v in self.nodes:
             k = len(self.labels[v])

@@ -1,11 +1,14 @@
 """Seeded ground-truth networks for benchmarks and tests.
 
-``alarm_network`` rebuilds the classical 37-node, 46-edge monitoring
-topology. Its conditional probability tables are synthesized from a seed
-(drawn toward low-entropy rows, like the hand-specified originals) because
-no parameter file ships with this repository; the structure is the
-literature one. ``random_cpts`` is the shared row generator, also used for
-the small fixture nets and the randomized DAG cases in the test suite.
+Every network here is one table from a node to its cardinality and its
+parents, whose order is the network's node order, and one constructor,
+``_net``, gives it seeded random tables and states named ``s0``…``s{k-1}``. ``alarm_network``
+rebuilds the classical 37-node, 46-edge monitoring topology. Its conditional
+probability tables are synthesized from a seed (drawn toward low-entropy
+rows, like the hand-specified originals) because no parameter file ships
+with this repository; the structure is the literature one. ``random_cpts``
+is the shared row generator, also used for the small fixture nets and the
+randomized DAG cases in the test suite.
 """
 from __future__ import annotations
 
@@ -17,85 +20,53 @@ from .bif import _BLOCK_ROWS, BayesNet
 
 __all__ = ["alarm_network", "blanket_demo_network", "random_net", "random_cpts"]
 
-# classical monitoring-network structure: (child, parents)
-_ALARM_PARENTS: dict[str, tuple[str, ...]] = {
-    "MINVOLSET": (),
-    "VENTMACH": ("MINVOLSET",),
-    "DISCONNECT": (),
-    "VENTTUBE": ("VENTMACH", "DISCONNECT"),
-    "KINKEDTUBE": (),
-    "INTUBATION": (),
-    "VENTLUNG": ("VENTTUBE", "KINKEDTUBE", "INTUBATION"),
-    "VENTALV": ("VENTLUNG", "INTUBATION"),
-    "MINVOL": ("VENTLUNG", "INTUBATION"),
-    "EXPCO2": ("VENTLUNG", "ARTCO2"),
-    "PRESS": ("VENTTUBE", "KINKEDTUBE", "INTUBATION"),
-    "ARTCO2": ("VENTALV",),
-    "FIO2": (),
-    "PVSAT": ("VENTALV", "FIO2"),
-    "SAO2": ("PVSAT", "SHUNT"),
-    "PULMEMBOLUS": (),
-    "SHUNT": ("PULMEMBOLUS", "INTUBATION"),
-    "PAP": ("PULMEMBOLUS",),
-    "ANAPHYLAXIS": (),
-    "TPR": ("ANAPHYLAXIS",),
-    "INSUFFANESTH": (),
-    "CATECHOL": ("TPR", "SAO2", "ARTCO2", "INSUFFANESTH"),
-    "HR": ("CATECHOL",),
-    "ERRLOWOUTPUT": (),
-    "HRBP": ("HR", "ERRLOWOUTPUT"),
-    "ERRCAUTER": (),
-    "HREKG": ("HR", "ERRCAUTER"),
-    "HRSAT": ("HR", "ERRCAUTER"),
-    "HYPOVOLEMIA": (),
-    "LVFAILURE": (),
-    "HISTORY": ("LVFAILURE",),
-    "LVEDVOLUME": ("HYPOVOLEMIA", "LVFAILURE"),
-    "CVP": ("LVEDVOLUME",),
-    "PCWP": ("LVEDVOLUME",),
-    "STROKEVOLUME": ("HYPOVOLEMIA", "LVFAILURE"),
-    "CO": ("HR", "STROKEVOLUME"),
-    "BP": ("CO", "TPR"),
+# node: (cardinality, parents)
+_Table = dict[str, tuple[int, tuple[str, ...]]]
+
+# classical monitoring-network structure
+_ALARM: _Table = {
+    "MINVOLSET": (3, ()),
+    "VENTMACH": (4, ("MINVOLSET",)),
+    "DISCONNECT": (2, ()),
+    "VENTTUBE": (4, ("VENTMACH", "DISCONNECT")),
+    "KINKEDTUBE": (2, ()),
+    "INTUBATION": (3, ()),
+    "VENTLUNG": (4, ("VENTTUBE", "KINKEDTUBE", "INTUBATION")),
+    "VENTALV": (4, ("VENTLUNG", "INTUBATION")),
+    "MINVOL": (4, ("VENTLUNG", "INTUBATION")),
+    "EXPCO2": (4, ("VENTLUNG", "ARTCO2")),
+    "PRESS": (4, ("VENTTUBE", "KINKEDTUBE", "INTUBATION")),
+    "ARTCO2": (3, ("VENTALV",)),
+    "FIO2": (2, ()),
+    "PVSAT": (3, ("VENTALV", "FIO2")),
+    "SAO2": (3, ("PVSAT", "SHUNT")),
+    "PULMEMBOLUS": (2, ()),
+    "SHUNT": (2, ("PULMEMBOLUS", "INTUBATION")),
+    "PAP": (3, ("PULMEMBOLUS",)),
+    "ANAPHYLAXIS": (2, ()),
+    "TPR": (3, ("ANAPHYLAXIS",)),
+    "INSUFFANESTH": (2, ()),
+    "CATECHOL": (2, ("TPR", "SAO2", "ARTCO2", "INSUFFANESTH")),
+    "HR": (3, ("CATECHOL",)),
+    "ERRLOWOUTPUT": (2, ()),
+    "HRBP": (3, ("HR", "ERRLOWOUTPUT")),
+    "ERRCAUTER": (2, ()),
+    "HREKG": (3, ("HR", "ERRCAUTER")),
+    "HRSAT": (3, ("HR", "ERRCAUTER")),
+    "HYPOVOLEMIA": (2, ()),
+    "LVFAILURE": (2, ()),
+    "HISTORY": (2, ("LVFAILURE",)),
+    "LVEDVOLUME": (3, ("HYPOVOLEMIA", "LVFAILURE")),
+    "CVP": (3, ("LVEDVOLUME",)),
+    "PCWP": (3, ("LVEDVOLUME",)),
+    "STROKEVOLUME": (3, ("HYPOVOLEMIA", "LVFAILURE")),
+    "CO": (3, ("HR", "STROKEVOLUME")),
+    "BP": (3, ("CO", "TPR")),
 }
 
-_ALARM_CARDS: dict[str, int] = {
-    "MINVOLSET": 3,
-    "VENTMACH": 4,
-    "DISCONNECT": 2,
-    "VENTTUBE": 4,
-    "KINKEDTUBE": 2,
-    "INTUBATION": 3,
-    "VENTLUNG": 4,
-    "VENTALV": 4,
-    "MINVOL": 4,
-    "EXPCO2": 4,
-    "PRESS": 4,
-    "ARTCO2": 3,
-    "FIO2": 2,
-    "PVSAT": 3,
-    "SAO2": 3,
-    "PULMEMBOLUS": 2,
-    "SHUNT": 2,
-    "PAP": 3,
-    "ANAPHYLAXIS": 2,
-    "TPR": 3,
-    "INSUFFANESTH": 2,
-    "CATECHOL": 2,
-    "HR": 3,
-    "ERRLOWOUTPUT": 2,
-    "HRBP": 3,
-    "ERRCAUTER": 2,
-    "HREKG": 3,
-    "HRSAT": 3,
-    "HYPOVOLEMIA": 2,
-    "LVFAILURE": 2,
-    "HISTORY": 2,
-    "LVEDVOLUME": 3,
-    "CVP": 3,
-    "PCWP": 3,
-    "STROKEVOLUME": 3,
-    "CO": 3,
-    "BP": 3,
+_BLANKET_DEMO: _Table = {
+    "N1": (2, ()), "P1": (2, ()), "P2": (2, ("N1",)), "P3": (2, ()), "S": (2, ()),
+    "T": (3, ("P1", "P2", "P3")), "C1": (3, ("T",)), "C2": (3, ("T", "S")), "G1": (2, ("C1",)), "N2": (2, ()),
 }
 
 
@@ -162,18 +133,31 @@ def random_cpts(
     return cpts
 
 
-def _build(name: str, parents: dict[str, tuple[str, ...]], cards: dict[str, int], seed: int,
-           strength: tuple[float, float] = (0.55, 0.9), spread: float = 0.0) -> BayesNet:
-    nodes = tuple(parents)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cpts = random_cpts(nodes, parents, cards, rng, strength, spread)
-    labels = {v: tuple(f"s{i}" for i in range(cards[v])) for v in nodes}
+def _net(name: str, table: _Table, rng: np.random.Generator, strength: tuple[float, float] = (0.3, 0.9),
+         spread: float = 0.0, concentration: float | None = None) -> BayesNet:
+    """``table``'s network, its states named ``s0``…``s{k-1}`` and its tables drawn from ``rng``.
+
+    Rows come from :func:`random_cpts` with ``strength`` and ``spread``, or,
+    given a ``concentration``, are independent Dirichlet draws, node by node.
+    """
+    nodes = tuple(table)
+    parents = {v: pa for v, (_, pa) in table.items()}
+    cards = {v: k for v, (k, _) in table.items()}
+    if concentration is None:
+        cpts = random_cpts(nodes, parents, cards, rng, strength, spread)
+    else:
+        cpts = {}
+        for v in nodes:
+            cpt = rng.dirichlet(np.full(cards[v], concentration), size=math.prod(cards[p] for p in parents[v]))
+            cpt /= cpt.sum(axis=1, keepdims=True)
+            cpts[v] = cpt
+    labels = {v: tuple(f"s{i}" for i in range(k)) for v, k in cards.items()}
     return BayesNet(name=name, nodes=nodes, labels=labels, parents=parents, cpts=cpts)
 
 
 def alarm_network() -> BayesNet:
     """The 37-node monitoring network with synthetic parameters from seed 179."""
-    return _build("alarm", _ALARM_PARENTS, _ALARM_CARDS, 179, strength=(0.3, 0.9), spread=0.15)
+    return _net("alarm", _ALARM, np.random.default_rng(179), spread=0.15)
 
 
 def blanket_demo_network(seed: int = 3) -> BayesNet:
@@ -182,20 +166,7 @@ def blanket_demo_network(seed: int = 3) -> BayesNet:
     The extras: a grandparent above one parent, a grandchild below one child,
     and an isolated node, so blanket recovery has something to exclude.
     """
-    parents = {
-        "N1": (),
-        "P1": (),
-        "P2": ("N1",),
-        "P3": (),
-        "S": (),
-        "T": ("P1", "P2", "P3"),
-        "C1": ("T",),
-        "C2": ("T", "S"),
-        "G1": ("C1",),
-        "N2": (),
-    }
-    cards = {v: 3 if v in ("T", "C1", "C2") else 2 for v in parents}
-    return _build("blanket_demo", parents, cards, seed, strength=(0.6, 0.9))
+    return _net("blanket_demo", _BLANKET_DEMO, np.random.default_rng(seed), strength=(0.6, 0.9))
 
 
 def random_net(
@@ -212,21 +183,9 @@ def random_net(
     fully continuous, so exact parametric cancellations (a d-connected pair
     carrying zero information) have probability zero.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     names = tuple(f"X{i}" for i in range(n_nodes))
-    parents: dict[str, tuple[str, ...]] = {}
-    for j, v in enumerate(names):
-        pa = [names[i] for i in range(j) if rng.random() < edge_prob]
-        parents[v] = tuple(pa)
-    cards = {v: int(rng.integers(card_range[0], card_range[1] + 1)) for v in names}
-    if concentration is None:
-        cpts = random_cpts(names, parents, cards, rng, (0.3, 0.9))
-    else:
-        cpts = {}
-        for v in names:
-            rows = math.prod(cards[p] for p in parents[v])
-            cpt = rng.dirichlet(np.full(cards[v], concentration), size=rows)
-            cpt /= cpt.sum(axis=1, keepdims=True)
-            cpts[v] = cpt
-    labels = {v: tuple(f"s{i}" for i in range(cards[v])) for v in names}
-    return BayesNet(name="random", nodes=names, labels=labels, parents=parents, cpts=cpts)
+    # every parent draw, then every cardinality draw, then the tables
+    parents = [tuple(names[i] for i in range(j) if rng.random() < edge_prob) for j in range(n_nodes)]
+    cards = [int(rng.integers(card_range[0], card_range[1] + 1)) for _ in names]
+    return _net("random", dict(zip(names, zip(cards, parents))), rng, concentration=concentration)

@@ -48,6 +48,7 @@ _BLOCK = 2048
 _TAIL_REL = 2.0 ** -70
 # a block's running products must stay below this, so that its sum stays finite
 _RUN_CAP = 8.9e270
+_INT64 = np.dtype(np.int64)
 
 
 # factors are individually bounded; only a block's running products leave range
@@ -185,10 +186,20 @@ class RegretTable:
         return float(self.log_regret_many(card, np.array([n]))[0])
 
     def log_regret_many(self, card: int, ns: np.ndarray) -> np.ndarray:
-        """Vectorized lookup for an array of sample counts."""
+        """Vectorized lookup for an array of sample counts.
+
+        Counts given in a non-integer dtype must be whole numbers (``2.0``,
+        not ``2.7`` or NaN).
+        """
         if card < 1:
             raise ValueError("cardinality must be >= 1")
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = np.asarray(ns)
+        if ns.dtype is not _INT64:  # the int64 arrays of every caller take neither cast nor check
+            with np.errstate(invalid="ignore"):
+                whole = ns.astype(np.int64)
+            if ns.dtype.kind not in "iu" and not np.array_equal(whole, ns):
+                raise ValueError("sample count must be a whole number")
+            ns = whole
         if ns.size == 0:
             return np.zeros(ns.shape, dtype=np.float64)
         if ns.min() < 0:

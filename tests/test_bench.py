@@ -194,10 +194,16 @@ class TestRepeatedValues:
              "methods: 'climb_fisher' is not climb_<kind> or pcmb_<kind> with a kind of sci, g2 or cmi"),
             (lambda: run_mb_benchmark(blanket_demo_network(), (300,), 1, methods=("pcmb",)),
              "methods: 'pcmb' is not climb_<kind> or pcmb_<kind> with a kind of sci, g2 or cmi"),
+            (lambda: run_causal_discovery((blanket_demo_network(),), 200, 1,
+                                          external_cpdags={"alarm": PDag(blanket_demo_network().nodes)}),
+             "external_cpdags: 'alarm' names no network"),
+            (lambda: run_causal_discovery((blanket_demo_network(),), 200, 1,
+                                          external_cpdags={"blanket_demo": PDag(blanket_demo_network().nodes[:-1])}),
+             "external_cpdags: the graph for 'blanket_demo' is not over its network's nodes"),
         ],
         ids=["dsep-ns", "dsep-noises", "dsep-tests", "mb-sizes", "mb-methods", "partition-sizes",
              "cmb-sizes", "zero-baseline-ky-grid", "discovery-nets", "mb-unknown-search",
-             "mb-unknown-kind", "mb-no-kind"],
+             "mb-unknown-kind", "mb-no-kind", "discovery-external-unknown-net", "discovery-external-node-set"],
     )
     def test_refused_before_any_replicate(self, monkeypatch, run, message):
         def no_stream(*args):

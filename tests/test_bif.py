@@ -301,6 +301,25 @@ class TestBayesNetValidation:
                 {"A": np.array([[0.5, 0.25, 0.25]])},
             )
 
+    @pytest.mark.parametrize(
+        "field, entries, message",
+        [
+            ("labels", {}, "labels has no entry for node 'A'"),
+            ("parents", {}, "parents has no entry for node 'A'"),
+            ("cpts", {}, "cpts has no entry for node 'A'"),
+            ("labels", {"A": ("x", "y"), "Z": ("x",)}, "labels has an entry for 'Z', which is not a node"),
+            ("parents", {"A": (), "Z": ("A",)}, "parents has an entry for 'Z', which is not a node"),
+            ("cpts", {"A": np.array([[0.5, 0.5]]), "Z": np.ones((2, 1))},
+             "cpts has an entry for 'Z', which is not a node"),
+        ],
+        ids=["labels-missing", "parents-missing", "cpts-missing", "labels-extra", "parents-extra", "cpts-extra"],
+    )
+    def test_dicts_hold_one_entry_per_node(self, field, entries, message):
+        given = {"labels": {"A": ("x", "y")}, "parents": {"A": ()}, "cpts": {"A": np.array([[0.5, 0.5]])}}
+        with pytest.raises(ValueError) as err:
+            BayesNet("n", ("A",), **{**given, field: entries})
+        assert str(err.value) == message
+
 
 def _pair_net(parents, q_cpt=None):
     """P and Q of two values each, Q's parents as given."""

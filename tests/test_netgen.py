@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -101,3 +102,24 @@ def test_dense_net_peak_memory_is_one_table_set():
         tracemalloc.stop()
     tables = sum(cpt.nbytes for cpt in net.cpts.values())
     assert peak <= 1.25 * tables, f"peak {peak / tables:.2f}x the tables' bytes"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, digest",
+    [
+        # random-pc's and dense-roles' ground truth, and a Dirichlet net
+        ((100, 0.04, 1), {"card_range": (2, 4)}, "ec4c5a91cedce32b6afd02e775fd80a99bdd6d1053f97731ecd32fab9a09b94c"),
+        ((40, 0.2, 3), {"card_range": (2, 4)}, "340f7bcec7630144106e9ec342055a7531e2050103977abfd30a999c1fb287c0"),
+        ((30, 0.15, 5), {"card_range": (2, 5), "concentration": 2.0},
+         "3a2fbc66363f557a5482d90401d5ad83fe57f0f39457c536d727975fc59bde93"),
+    ],
+    ids=["random-pc", "dense-roles", "dirichlet"],
+)
+def test_random_net_bytes_pinned(args, kwargs, digest):
+    net = random_net(*args, **kwargs)
+    h = hashlib.sha256()
+    for v in net.nodes:
+        cpt = net.cpts[v]
+        h.update(repr((v, net.parents[v], net.labels[v], cpt.dtype.str, cpt.shape)).encode())
+        h.update(cpt.tobytes())
+    assert net.name == "random" and h.hexdigest() == digest

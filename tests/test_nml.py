@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from itertools import product
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestLogRegret:
         with pytest.raises(ValueError):
             table.log_regret_many(-2, np.array([], dtype=np.int64))
         assert table.filled_upto(3) == 0
+
+    @pytest.mark.parametrize("n", [2.7, -0.5, math.nan, math.inf], ids=["fraction", "negative-fraction", "nan", "inf"])
+    def test_a_count_that_is_not_whole_is_refused(self, n):
+        table = RegretTable()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the refusal
+            for ask in (lambda: table.log_regret(2, n), lambda: table.log_regret_many(3, np.array([4.0, n]))):
+                with pytest.raises(ValueError, match="^sample count must be a whole number$"):
+                    ask()
+        assert table.filled_upto(2) == table.filled_upto(3) == -1
+        # a whole count in a float or narrow integer dtype is looked up as its int64 value
+        assert table.log_regret_many(3, np.array([4.0, 7.0])).tobytes() == table.log_regret_many(3, [4, 7]).tobytes()
+        assert table.log_regret_many(3, np.array([4, 7], dtype=np.uint8)).tobytes() == \
+            table.log_regret_many(3, np.array([4, 7])).tobytes()
 
     def test_concurrent_on_demand_stress(self):
         # more threads than cores, switching often: a lost count or a torn
